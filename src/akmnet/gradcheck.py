@@ -246,6 +246,23 @@ def standard_primitive_cases():
                    requires_grad=True, dtype=np.float64)
         return (lambda: T.max_(x)), [x], ["x"]
 
+    def build_gru_encode(rng):
+        # 2 layers of hidden size 2 over T = 3 steps of a 2-channel 1x2 grid
+        x = leaf(rng, (3, 2, 1, 2))
+        layers, params, names = [], [x], ["x"]
+        size_in = 2
+        for li in (1, 2):
+            pair = []
+            for tag in ("fwd", "rev"):
+                cell = tuple(leaf(rng, (2, 2 + size_in + 1)) for _ in range(3))
+                pair.append(cell)
+                params += cell
+                names += [f"layer{li}.{tag}.{n}" for n in ("wz", "wr", "wh")]
+            layers.append(pair)
+            size_in = 4
+        c = weights(rng, (4, 1, 2))
+        return (lambda: T.sum_(T.mul(T.gru_encode(x, layers), c))), params, names
+
     def build_structural(rng):
         a, b = leaf(rng, (2, 3)), leaf(rng, (2, 3))
         c = weights(rng, (3, 4))
@@ -273,5 +290,6 @@ def standard_primitive_cases():
         case("cosine_rows", build_cosine),
         case("gather", build_gather),
         case("max", build_max),
+        case("gru_encode", build_gru_encode),
         case("structural", build_structural),
     ])

@@ -95,6 +95,9 @@ def _gru_step_batch(h_prev, x, ones_col, wz_t, wr_t, wh_t):
 
     z and r gate the stacked [hidden, input, 1] vector; the candidate sees
     the reset-scaled hidden. New state blends previous and candidate by z.
+    This per-op chain and ``gru_step`` are the reference that the fused
+    ``tensor.gru_encode`` must match bit for bit; the tests build the
+    unfused encoding from them.
     """
     stacked = T.cat([h_prev, x, ones_col], axis=1)
     z = T.sigmoid(T.matmul(stacked, wz_t))
@@ -117,63 +120,24 @@ def gru_step(h_prev, x, cell):
     return out.reshape(h.shape[0])
 
 
-def _run_direction(inputs, cell, ones_col, reverse):
-    """Run one direction over the step list; outputs aligned to input order."""
-    dtype = inputs[0].data.dtype
-    p = inputs[0].shape[0]
-    wz_t = T.transpose(cell.wz, (1, 0))
-    wr_t = T.transpose(cell.wr, (1, 0))
-    wh_t = T.transpose(cell.wh, (1, 0))
-    h = T.constant(np.zeros((p, cell.hidden_size)), dtype=dtype)
-    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
-    outputs = [None] * len(inputs)
-    for n in order:
-        h = _gru_step_batch(h, inputs[n], ones_col, wz_t, wr_t, wh_t)
-        outputs[n] = h
-    return outputs
-
-
-def _exact_mean_over_steps(steps):
-    """Average a list of equally shaped step outputs, order-independently.
-
-    Rows are reduced with exactly rounded summation, so reversing the step
-    order yields bit-identical results; this is what makes the head agree
-    exactly under temporal reversal with swapped directions.
-    """
-    n = len(steps)
-    p, c = steps[0].shape
-    rows = [s.reshape(1, p * c) for s in steps]
-    stackedm = T.cat(rows, axis=0)
-    weights = T.constant(np.full(n, 1.0 / n), dtype=steps[0].data.dtype)
-    return T.exact_weighted_sum(stackedm, weights).reshape(p, c)
-
-
 def pixelwise_encode(key_features, gru_params, return_steps=False):
     """Encode the key-frame sequence at every spatial position at once.
 
     Positions ride the batch axis of each step, which is equivalent to
     running one independent GRU per position with shared weights. Initial
-    hidden states are zero. Returns the (C', H, W) time-averaged feature;
-    with ``return_steps`` also the per-step layer-2 outputs.
+    hidden states are zero. The per-step outputs of the last layer are
+    averaged over time with exactly rounded summation, so reversing the
+    step order yields bit-identical results; this is what makes the head
+    agree exactly under temporal reversal with swapped directions. Returns
+    the (C', H, W) time-averaged feature; with ``return_steps`` also the
+    per-step last-layer outputs, (H*W, C') each, as constants.
     """
     feats = key_features.features if hasattr(key_features, "features") else key_features
-    n, c, gh, gw = feats.shape
-    p = gh * gw
-    dtype = feats.data.dtype
-    seq = T.transpose(feats.reshape(n, c, p), (0, 2, 1))
-    inputs = [T.gather(seq, [i]).reshape(p, c) for i in range(n)]
-    ones_col = T.constant(np.ones((p, 1)), dtype=dtype)
-
-    for fwd_cell, rev_cell in gru_params.layers:
-        fwd = _run_direction(inputs, fwd_cell, ones_col, reverse=False)
-        rev = _run_direction(inputs, rev_cell, ones_col, reverse=True)
-        inputs = [T.cat([f, r], axis=1) for f, r in zip(fwd, rev)]
-
-    averaged = _exact_mean_over_steps(inputs)
-    g = T.transpose(averaged, (1, 0)).reshape(gru_params.output_size, gh, gw)
-    feature = SpatioTemporalFeature(values=g)
+    layers = [((f.wz, f.wr, f.wh), (r.wz, r.wr, r.wh)) for f, r in gru_params.layers]
+    steps = [] if return_steps else None
+    feature = SpatioTemporalFeature(values=T.gru_encode(feats, layers, steps=steps))
     if return_steps:
-        return feature, inputs
+        return feature, [T.constant(s, dtype=s.dtype) for s in steps]
     return feature
 
 

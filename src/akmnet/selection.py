@@ -126,12 +126,17 @@ def correlate(pooled, global_feature, eps=1e-8):
     """Cosine score of every pooled frame against the aggregate.
 
     A zero-norm operand makes the affected scores exactly 0 (stabilized
-    denominator); that degenerate case is logged once per clip.
+    denominator). A zero aggregate zeroes every score, so the clip falls
+    back: that is logged as a warning. Zero rows under a non-zero aggregate
+    are frames a trained backbone has silenced, which the gate then drops:
+    that is logged at debug level. Either is logged once per clip.
     """
     row_norms = np.sqrt((pooled.data.astype(np.float64) ** 2).sum(axis=1))
     vec_norm = math.sqrt(float((global_feature.data.astype(np.float64) ** 2).sum()))
-    if vec_norm == 0.0 or np.any(row_norms == 0.0):
-        log.warning("correlate: zero-norm feature encountered, affected scores set to 0")
+    if vec_norm == 0.0:
+        log.warning("correlate: zero-norm aggregate, every score set to 0")
+    elif np.any(row_norms == 0.0):
+        log.debug("correlate: zero-norm frame feature, its score set to 0")
     return T.cosine_rows(pooled, global_feature, eps=eps)
 
 

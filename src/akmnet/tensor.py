@@ -335,12 +335,15 @@ def relu(a):
     return _node(data, "relu", (a,), rule)
 
 
+def _sigmoid_data(x):
+    # split by sign to avoid exp overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+
+
 def sigmoid(a):
     a = _as_tensor(a)
-    # split by sign to avoid exp overflow
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
+    data = _sigmoid_data(a.data)
 
     def rule(g):
         a.accumulate(g * data * (1.0 - data))
@@ -517,6 +520,155 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     return _node(out, "conv2d", parents, rule)
 
 
+def gru_encode(x, layers, steps=None):
+    """Pixel-wise bidirectional GRU over a frame sequence, averaged over time.
+
+    ``x`` is (N, C, H, W): N steps of a C-channel grid. ``layers`` holds one
+    (forward, reverse) pair per layer, each a (wz, wr, wh) triple of gate
+    matrices, (hidden, hidden + input + 1), acting on the stacked
+    [hidden, input, 1] vector. Every grid position runs the same recurrence
+    from a zero state; a layer's per-step output concatenates the two
+    directions and is the next layer's input. Returns the last layer's
+    per-step outputs averaged over time with exactly rounded summation, as
+    (2 * hidden, H, W). When ``steps`` is a list, those per-step outputs,
+    each (H * W, 2 * hidden), are appended to it.
+
+    The whole recurrence is one graph node. Its forward runs the numpy
+    operations of the per-step op chain (``cat``, ``matmul``, ``sigmoid``,
+    ``tanh``, ``sub``, ``mul`` and ``add`` per step, then
+    ``exact_weighted_sum``) in their order. Its backward through time
+    repeats each of their backward rules and sums every gradient in the
+    order that chain's graph does, so outputs and gradients are
+    bit-identical to it.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeMismatch("gru_encode", x.shape, (-1, -1, -1, -1), "expects NCHW")
+    n, c, gh, gw = x.shape
+    p = gh * gw
+    dtype = x.data.dtype
+    layers = [(tuple(map(_as_tensor, fwd)), tuple(map(_as_tensor, rev)))
+              for fwd, rev in layers]
+    size_in = c
+    for fwd, rev in layers:
+        hidden = fwd[0].shape[0]
+        for w in fwd + rev:
+            if w.shape != (hidden, hidden + size_in + 1):
+                raise ShapeMismatch("gru_encode", w.shape,
+                                    (hidden, hidden + size_in + 1),
+                                    "gate matrix is (hidden, hidden + input + 1)")
+        size_in = 2 * hidden
+
+    seq = x.data.reshape(n, c, p).transpose(0, 2, 1)
+    # C-ordered copies, as gather makes: concatenating the transposed views
+    # can give an F-ordered operand, and BLAS then rounds its products
+    # differently
+    inputs = [np.ascontiguousarray(seq[t]) for t in range(n)]
+    ones = np.ones((p, 1), dtype=dtype)
+    tapes = []
+    for fwd, rev in layers:
+        f_states, f_tape = _gru_direction(inputs, fwd, ones, reverse=False)
+        r_states, r_tape = _gru_direction(inputs, rev, ones, reverse=True)
+        inputs = [np.concatenate([f, r], axis=1) for f, r in zip(f_states, r_states)]
+        tapes.append((f_tape, r_tape))
+    if steps is not None:
+        steps.extend(inputs)
+    weights = np.full(n, 1.0 / n).astype(dtype)
+    rows = np.concatenate([s.reshape(1, p * size_in) for s in inputs], axis=0)
+    out = _exact_weighted_sum_data(rows, weights).reshape(p, size_in).T.reshape(size_in, gh, gw)
+
+    def rule(g):
+        g_mean = np.ascontiguousarray(g.reshape(size_in, p).T).reshape(p * size_in)
+        g_rows = np.outer(weights, g_mean).astype(dtype)
+        outs = [g_rows[t].reshape(p, size_in) for t in range(n)]
+        for li in range(len(layers) - 1, -1, -1):
+            (fwd, rev), (f_tape, r_tape) = layers[li], tapes[li]
+            hidden = fwd[0].shape[0]
+            lower = li < len(layers) - 1
+            f_parts = _gru_direction_backward(f_tape, fwd, [o[:, :hidden] for o in outs],
+                                              out_first=lower)
+            r_parts = _gru_direction_backward(r_tape, rev, [o[:, hidden:] for o in outs],
+                                              out_first=True)
+            if li == 0 and not x.requires_grad:
+                return
+            # the graph sums a layer input's four terms in this order
+            outs = [((cf + sf) + cr) + sr if t else ((cr + sr) + cf) + sf
+                    for t, ((cf, sf), (cr, sr)) in enumerate(zip(f_parts, r_parts))]
+        # + 0.0 as the graph's gather scatter-adds into zeros: -0.0 becomes +0.0
+        d_seq = np.stack(outs) + 0.0
+        x.accumulate(np.ascontiguousarray(d_seq.transpose(0, 2, 1)).reshape(x.shape))
+
+    parents = (x,) + tuple(w for fwd, rev in layers for w in fwd + rev)
+    return _node(out, "gru_encode", parents, rule)
+
+
+def _gru_direction(inputs, gates, ones, reverse):
+    """One direction of one ``gru_encode`` layer.
+
+    Returns the states aligned to input order and the tape of each step's
+    operands, in processing order.
+    """
+    wz, wr, wh = (w.data.T for w in gates)
+    h = np.zeros((ones.shape[0], wz.shape[1]), dtype=ones.dtype)
+    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
+    states = [None] * len(inputs)
+    tape = []
+    for t in order:
+        stacked = np.concatenate([h, inputs[t], ones], axis=1)
+        z = _sigmoid_data(stacked @ wz)
+        r = _sigmoid_data(stacked @ wr)
+        cand_in = np.concatenate([r * h, inputs[t], ones], axis=1)
+        cand = np.tanh(cand_in @ wh)
+        keep = 1.0 - z
+        tape.append((t, h, stacked, z, r, cand_in, cand, keep))
+        h = keep * h + z * cand
+        states[t] = h
+    return states, tape
+
+
+def _gru_direction_backward(tape, gates, outs, out_first):
+    """Backpropagate one direction through time; ``outs[t]`` is the
+    gradient reaching step t's state from above.
+
+    Accumulates the gate gradients and returns, aligned to input order, the
+    (candidate cat, stacked cat) terms of each step's input gradient. A
+    state's own gradient sums its terms from the next processed step
+    (reset product, keep product, stacked cat) and ``outs[t]``; the graph
+    adds ``outs[t]`` first when ``out_first`` holds and t >= 1, last
+    otherwise.
+    """
+    wz, wr, wh = (w.data for w in gates)
+    hidden = wz.shape[0]
+    width = tape[0][2].shape[1] - 1
+    gate_sums = [None, None, None]
+    parts = [None] * len(outs)
+    later = None
+    for t, h, stacked, z, r, cand_in, cand, keep in reversed(tape):
+        g = outs[t]
+        if later is not None:
+            rh, m1, st = later
+            g = ((g + rh) + m1) + st if out_first and t >= 1 else ((rh + m1) + st) + g
+        d_cand = g * z
+        d_z = g * cand - g * h
+        d_mh = d_cand * (1.0 - cand * cand)
+        d_cand_in = d_mh @ wh
+        d_rh = d_cand_in[:, :hidden]
+        d_mr = d_rh * h * r * (1.0 - r)
+        d_mz = d_z * z * (1.0 - z)
+        d_stacked = d_mz @ wz + d_mr @ wr
+        for i, (a, d) in enumerate(((stacked, d_mz), (stacked, d_mr), (cand_in, d_mh))):
+            term = a.T @ d
+            if gate_sums[i] is None:
+                gate_sums[i] = term
+            else:
+                gate_sums[i] += term
+        parts[t] = (d_cand_in[:, hidden:width], d_stacked[:, hidden:width])
+        later = (d_rh * r, g * keep, d_stacked[:, :hidden])
+    for w, total in zip(gates, gate_sums):
+        w.accumulate(np.ascontiguousarray(total.T))
+    return parts
+
+
 def frame_norm(x, gain, bias, eps=1e-5):
     """Per-sample, per-channel normalization over the spatial grid.
 
@@ -554,6 +706,12 @@ def frame_norm(x, gain, bias, eps=1e-5):
     return _node(out, "frame_norm", (x, gain, bias), rule)
 
 
+def _exact_weighted_sum_data(mat, weights):
+    cols = (mat * weights[:, None]).astype(np.float64, copy=False)
+    return np.array([math.fsum(cols[:, c]) for c in range(mat.shape[1])],
+                    dtype=mat.dtype)
+
+
 def exact_weighted_sum(mat, weights):
     """Weighted sum of matrix rows with order-independent accumulation.
 
@@ -566,10 +724,7 @@ def exact_weighted_sum(mat, weights):
     weights = _as_tensor(weights, like=mat)
     if mat.ndim != 2 or weights.ndim != 1 or mat.shape[0] != weights.shape[0]:
         raise ShapeMismatch("exact_weighted_sum", mat.shape, weights.shape)
-    prods = mat.data * weights.data[:, None]
-    cols = prods.astype(np.float64, copy=False)
-    out = np.array([math.fsum(cols[:, c]) for c in range(mat.shape[1])],
-                   dtype=mat.data.dtype)
+    out = _exact_weighted_sum_data(mat.data, weights.data)
 
     def rule(g):
         if mat.requires_grad:

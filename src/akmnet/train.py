@@ -15,7 +15,7 @@ from .rng import RngStream
 
 
 class DivergenceError(RuntimeError):
-    """Training produced NaN; carries where it happened."""
+    """Training produced NaN or inf; carries where it happened."""
 
 
 @dataclass
@@ -73,12 +73,12 @@ def sgd_momentum_step(named_params, grads, state, lr,
     joins the gradient inside the velocity update.
 
     ``state`` maps parameter name to velocity and is created lazily. A NaN
-    gradient aborts, naming the parameter.
+    or infinite gradient aborts, naming the parameter.
     """
     for (name, p), g in zip(named_params, grads):
         g = np.asarray(g, dtype=p.data.dtype)
-        if np.isnan(g).any():
-            raise DivergenceError(f"NaN gradient in parameter {name}")
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite gradient in parameter {name}")
         v = state.get(name)
         if v is None:
             v = np.zeros_like(p.data)
@@ -98,7 +98,8 @@ def train(model, clips, config=None, on_epoch=None):
     Every clip in a batch runs forward and backward on its own; gradients
     accumulate and are divided by the batch size before the step, so the
     update equals the one computed from the mean of the per-clip gradients.
-    A NaN objective aborts with the epoch and step where it appeared.
+    A NaN or infinite objective aborts with the epoch, step and clip where it
+    appeared.
     ``on_epoch`` sees each epoch's stats; returning a truthy value stops
     training after that epoch. With ``cycles`` > 1 the cosine schedule
     restarts from ``init_lr`` every ``epochs`` epochs (momentum state and
@@ -140,9 +141,9 @@ def train(model, clips, config=None, on_epoch=None):
                 result = model.forward(frames, label=clip.label, training=True,
                                        rng=pass_rng, gate_grad=config.gate_grad)
                 objective = float(result.omega.data)
-                if math.isnan(objective):
+                if not math.isfinite(objective):
                     raise DivergenceError(
-                        f"objective is NaN at epoch {epoch}, step {step} "
+                        f"objective is {objective} at epoch {epoch}, step {step} "
                         f"(clip {clip.clip_id})")
                 result.omega.backward()
                 sel = result.selection

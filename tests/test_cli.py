@@ -3,6 +3,7 @@ codes. Everything runs on a micro model so the whole file stays fast."""
 
 import csv
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,8 +145,8 @@ class TestTrain:
         config.write_text(json.dumps({
             "model": MICRO_CONFIG["model"],
             "train": {"epochs": 6, "init_lr": 1e9}}))
-        with np.errstate(all="ignore"), np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             code = run("train", "--config", config, "--manifest",
                        workdir.manifest, "--out", tmp_path / "out")
         assert code == 4
@@ -310,6 +311,15 @@ class TestGradcheckCommand:
                    "conv2d") == 1
         out = capsys.readouterr().out
         assert "gradcheck FAILED" in out and "conv2d" in out
+
+    def test_injected_gru_fault_names_primitive_and_group(self, capsys):
+        assert run("gradcheck", "--seed", "1", "--inject-fault",
+                   "gru_encode") == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("gradcheck FAILED")]
+        assert len(failed) == 1
+        assert "primitive gru_encode" in failed[0]
+        assert "model group gru" in failed[0]
 
     def test_unknown_fault_target(self):
         assert run("gradcheck", "--inject-fault", "made_up") == 2

@@ -7,9 +7,9 @@ import pytest
 
 from akmnet import tensor as T
 from akmnet.gradcheck import grad_check
-from akmnet.recurrent import (ClassifierHead, GruCell, GruParams, classify,
-                              cross_entropy, gru_step, pixelwise_encode,
-                              total_loss)
+from akmnet.recurrent import (ClassifierHead, GruCell, GruParams,
+                              _gru_step_batch, classify, cross_entropy,
+                              gru_step, pixelwise_encode, total_loss)
 from akmnet.rng import RngStream
 from akmnet.tensor import Tensor
 
@@ -191,6 +191,94 @@ class TestPixelwiseEncode:
         names = ["feats"] + [n for n, _ in gp.parameters()]
         report = grad_check(loss, params, epsilon=1e-5, names=names)
         assert report.ok(1e-5), (report.max_rel_error, report.failures)
+
+
+def per_op_encode(feats, gru_params):
+    """The unfused graph of the bi-GRU encoding, one node per operation:
+    the reference ``tensor.gru_encode`` must match bit for bit."""
+    n, c, gh, gw = feats.shape
+    p = gh * gw
+    dtype = feats.data.dtype
+    seq = T.transpose(feats.reshape(n, c, p), (0, 2, 1))
+    inputs = [T.gather(seq, [i]).reshape(p, c) for i in range(n)]
+    ones_col = T.constant(np.ones((p, 1)), dtype=dtype)
+
+    def run(cell, reverse):
+        w_t = [T.transpose(w, (1, 0)) for w in (cell.wz, cell.wr, cell.wh)]
+        h = T.constant(np.zeros((p, cell.hidden_size)), dtype=dtype)
+        outputs = [None] * n
+        for i in (range(n - 1, -1, -1) if reverse else range(n)):
+            h = _gru_step_batch(h, inputs[i], ones_col, *w_t)
+            outputs[i] = h
+        return outputs
+
+    for fwd_cell, rev_cell in gru_params.layers:
+        fwd, rev = run(fwd_cell, False), run(rev_cell, True)
+        inputs = [T.cat([f, r], axis=1) for f, r in zip(fwd, rev)]
+    c_out = gru_params.output_size
+    rows = T.cat([s.reshape(1, p * c_out) for s in inputs], axis=0)
+    weights = T.constant(np.full(n, 1.0 / n), dtype=dtype)
+    averaged = T.exact_weighted_sum(rows, weights).reshape(p, c_out)
+    return T.transpose(averaged, (1, 0)).reshape(c_out, gh, gw)
+
+
+class TestFusedEncodeBitIdentity:
+    # dtype, layers, steps, grid, hidden, zeroed frame, feature grad,
+    # gradients already present, scale of the upstream gradient (0 makes
+    # every gradient a signed zero)
+    CASES = [
+        (np.float32, 2, 7, (2, 2), 8, None, True, False, 1.0),
+        (np.float64, 2, 7, (2, 2), 8, None, True, False, 1.0),
+        (np.float32, 1, 5, (1, 3), 4, None, True, False, 1.0),
+        (np.float64, 3, 6, (2, 1), 3, None, True, False, 1.0),
+        (np.float32, 3, 9, (3, 3), 5, None, True, False, 1.0),
+        (np.float32, 2, 1, (2, 2), 6, None, True, False, 1.0),
+        (np.float64, 1, 1, (1, 1), 1, None, True, False, 1.0),
+        (np.float64, 2, 9, (1, 2), 1, None, True, False, 1.0),
+        (np.float32, 2, 8, (2, 2), 8, 3, True, False, 1.0),
+        (np.float64, 2, 6, (2, 2), 4, 0, True, False, 1.0),
+        (np.float32, 2, 6, (2, 2), 8, None, False, False, 1.0),
+        (np.float64, 1, 4, (1, 2), 3, None, False, False, 1.0),
+        (np.float32, 2, 6, (2, 2), 8, None, True, True, 1.0),
+        (np.float64, 3, 5, (1, 2), 2, 4, True, True, 1.0),
+        (np.float32, 2, 5, (2, 2), 4, None, True, False, 0.0),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_fused_matches_per_op_graph(self, case):
+        dtype, layers, steps, (gh, gw), hidden, zeroed, feat_grad, preset, scale = \
+            self.CASES[case]
+        rng = np.random.default_rng(100 + case)
+        channels = 3
+        gp = random_gru(channels, hidden, layers, seed=200 + case, dtype=dtype)
+        x = rng.normal(size=(steps, channels, gh, gw))
+        if zeroed is not None:
+            x[zeroed] = 0.0
+        readout = T.constant(scale * rng.normal(size=(2 * hidden, gh, gw)), dtype=dtype)
+        results = []
+        for encode in (per_op_encode, lambda f, g: pixelwise_encode(f, g).values):
+            feats = Tensor(x, requires_grad=feat_grad, dtype=dtype)
+            leaves = [feats] + [p for _, p in gp.parameters()]
+            for leaf in leaves:
+                leaf.grad = np.full(leaf.shape, 0.25, dtype=dtype) if preset else None
+            out = encode(feats, gp)
+            T.sum_(T.mul(out, readout)).backward()
+            results.append([out.data.tobytes()] +
+                           [None if leaf.grad is None else leaf.grad.tobytes()
+                            for leaf in leaves])
+        names = ["output", "feats"] + [n for n, _ in gp.parameters()]
+        for name, ref, fused in zip(names, *results):
+            assert ref == fused, name
+        if not feat_grad:
+            assert results[1][1] is None
+
+    def test_one_node_per_encoding(self):
+        gp = random_gru(3, 4, 2, seed=30)
+        feats = Tensor(np.random.default_rng(31).normal(size=(6, 3, 2, 2)),
+                       requires_grad=True, dtype=np.float64)
+        out = pixelwise_encode(feats, gp).values
+        assert out.op == "gru_encode"
+        assert out.parents == (feats,) + tuple(p for _, p in gp.parameters())
 
 
 class TestClassifier:

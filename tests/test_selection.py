@@ -249,6 +249,17 @@ class TestInvariants:
         assert sel.fallback
         assert sum("zero-norm" in r.message for r in caplog.records) == 1
 
+    def test_silenced_frame_logs_debug_not_warning(self, caplog):
+        # one all-zero frame under a non-zero aggregate is the trained gate
+        # at work, not a fault
+        feats = np.random.default_rng(14).normal(size=(5, 3, 2, 2)).astype(np.float32)
+        feats[2] = 0.0
+        with caplog.at_level(logging.DEBUG, logger="akmnet.selection"):
+            _, sel, _ = mine(Tensor(feats), random_params(3, 15))
+        assert sel.beta.data[2] == 0.0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert sum("zero-norm" in r.message for r in caplog.records) == 1
+
 
 class TestStraightThrough:
     def build(self, seed, t_count=6, c=4):

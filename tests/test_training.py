@@ -82,6 +82,12 @@ class TestSgdStep:
         with pytest.raises(DivergenceError, match="head.w"):
             sgd_momentum_step(params, [np.array([np.nan])], {}, lr=0.1)
 
+    def test_inf_gradient_names_parameter(self):
+        params, p = one_param([0.0], name="gru.layer1.fwd.wz")
+        with pytest.raises(DivergenceError, match="gru.layer1.fwd.wz"):
+            sgd_momentum_step(params, [np.array([-np.inf])], {}, lr=0.1)
+        assert p.data[0] == 0.0
+
 
 class TestTrainLoop:
     def config(self, **kw):
@@ -156,6 +162,17 @@ class TestTrainLoop:
         model.head.weight.data[:] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0, step 0"):
             train(model, ds.clips, self.config(epochs=1))
+
+    def test_inf_objective_reports_epoch_step_and_clip(self):
+        ds = tiny_synth(n_clips=4)
+        clips = [c for c in ds.clips if c.label == 1]
+        model = build_model(tiny_model_config(n_classes=2), seed=0)
+        # class 1's probability underflows to exactly 0, so -log gives inf
+        model.head.bias.data[:] = [0.0, -1e4]
+        with np.errstate(divide="ignore"), \
+                pytest.raises(DivergenceError,
+                              match=f"inf at epoch 0, step 0 \\(clip {clips[0].clip_id}\\)"):
+            train(model, clips, self.config(epochs=1, shuffle=False))
 
     def test_empty_clip_list_rejected(self):
         model = build_model(tiny_model_config(n_classes=2), seed=0)
