@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .rng import RngStream
 from .tensor import DEFAULT_DTYPE, Tensor
 
 
@@ -139,10 +138,6 @@ class FeatureSequence:
     def frame_count(self):
         return self.features.shape[0]
 
-    @property
-    def frame_shape(self):
-        return self.features.shape[1:]
-
 
 class Backbone:
     """The shared per-frame extractor: stem plus residual stages."""
@@ -178,13 +173,6 @@ class Backbone:
             for block in blocks:
                 h = block(h)
         return h
-
-
-def build_backbone(config, rng=None, dtype=DEFAULT_DTYPE):
-    """Construct and initialize a backbone; rng defaults to a fixed seed."""
-    if rng is None:
-        rng = RngStream(0).child("backbone-init")
-    return Backbone(config, rng, dtype=dtype)
 
 
 def extract_spatial_features(clip_frames, backbone):

@@ -297,12 +297,12 @@ def cmd_mine(args):
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "T", "N", "indices", "beta", "fallback"])
         for clip in clips:
-            sel = model.forward(clip.frames, rng=rng).selection
+            r = record_clip(model, clip, rng=rng)
             writer.writerow([
-                clip.clip_id, sel.frame_count, sel.n_selected,
-                " ".join(str(i) for i in sel.indices),
-                " ".join("%.8g" % float(b) for b in sel.beta.data),
-                int(sel.fallback),
+                r.clip_id, r.frame_count, r.n_selected,
+                " ".join(str(i) for i in r.indices),
+                " ".join("%.8g" % b for b in r.beta),
+                int(r.fallback),
             ])
     write_snapshot(out, "mine", config, {"label_map": label_map,
                                          "manifest": str(args.manifest),

@@ -1,15 +1,16 @@
 """Clip ingestion and dataset plumbing.
 
 Covers the manifest format, the on-disk frame formats (binary PGM series and
-a packed float tensor), random-crop augmentation, class balancing, linear
-temporal resampling, leave-one-subject-out splitting, and a synthetic
-generator that plants a recoverable signal window inside noise clips.
+a packed float tensor), random-crop augmentation, linear temporal
+resampling, and a synthetic generator that plants a recoverable signal
+window inside noise clips.
 """
 
 import csv
 import io
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,19 +80,6 @@ class Manifest:
     def __len__(self):
         return len(self.rows)
 
-    def subjects(self):
-        seen = []
-        for row in self.rows:
-            if row.subject_id not in seen:
-                seen.append(row.subject_id)
-        return seen
-
-    def class_counts(self):
-        counts = {name: 0 for name in self.label_map}
-        for row in self.rows:
-            counts[row.label_name] += 1
-        return counts
-
 
 def _parse_optional_int(text, what, line_no):
     text = text.strip()
@@ -102,6 +90,20 @@ def _parse_optional_int(text, what, line_no):
     except ValueError:
         raise DataError(f"manifest line {line_no}: {what} must be an integer, "
                         f"got {text!r}")
+
+
+def _parse_optional_framerate(text, line_no):
+    text = text.strip()
+    if text == "":
+        return None
+    try:
+        rate = float(text)
+    except ValueError:
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0):
+        raise DataError(f"manifest line {line_no}: framerate must be a finite "
+                        f"positive number, got {text!r}")
+    return rate
 
 
 def load_manifest(path, label_map=None):
@@ -142,8 +144,7 @@ def load_manifest(path, label_map=None):
             onset = _parse_optional_int(raw[4], "onset", line_no)
             apex = _parse_optional_int(raw[5], "apex", line_no)
             offset = _parse_optional_int(raw[6], "offset", line_no)
-            rate_text = raw[7].strip()
-            framerate = float(rate_text) if rate_text else None
+            framerate = _parse_optional_framerate(raw[7], line_no)
             marks = (onset, apex, offset)
             if all(m is not None for m in marks) and not (onset <= apex <= offset):
                 raise DataError(f"manifest line {line_no}: need onset <= apex "
@@ -338,11 +339,6 @@ def crop_frames(frames, crop_side, rng=None, training=False):
     return big[:, dy:dy + crop_side, dx:dx + crop_side].copy()
 
 
-def random_crop(clip, crop_side, rng=None, training=True):
-    return replace(clip, frames=crop_frames(clip.frames, crop_side,
-                                            rng=rng, training=training))
-
-
 def temporal_resample(frames, target_len):
     """Linear resample along time to ``target_len`` frames.
 
@@ -376,62 +372,6 @@ def temporal_resample(frames, target_len):
                 else a + f * (b - a)
             out[j] = np.clip(blend, np.minimum(a, b), np.maximum(a, b))
     return out
-
-
-def resample_clip(clip, target_len):
-    marks = {}
-    if clip.onset is not None and clip.apex is not None and clip.offset is not None:
-        # marks are positions on the old timeline; drop them after resampling
-        marks = dict(onset=None, apex=None, offset=None)
-    return replace(clip, frames=temporal_resample(clip.frames, target_len), **marks)
-
-
-# split handling -----------------------------------------------------------
-
-def balance_resample(manifest, rng, split="train"):
-    """Duplicate clips (with replacement) until every class matches the
-    largest one. Training splits only; originals are never dropped."""
-    if split != "train":
-        raise ValueError(f"balance_resample: refusing to balance a {split!r} "
-                         f"split, training data only")
-    counts = manifest.class_counts()
-    empty = sorted(name for name, c in counts.items() if c == 0)
-    if empty:
-        raise DataError(f"balance_resample: class(es) {empty} have no clips")
-    target = max(counts.values())
-    by_class = {name: [r for r in manifest.rows if r.label_name == name]
-                for name in counts}
-    rows = list(manifest.rows)
-    for name in sorted(counts):
-        pool = by_class[name]
-        for _ in range(target - counts[name]):
-            rows.append(pool[int(rng.integers(0, len(pool)))])
-    return Manifest(rows=rows, label_map=manifest.label_map,
-                    base_dir=manifest.base_dir)
-
-
-@dataclass
-class LosoFold:
-    subject_id: str
-    train: Manifest
-    test: Manifest
-
-
-def loso_split(manifest):
-    """One fold per subject: that subject held out, everyone else trains."""
-    subjects = manifest.subjects()
-    if len(subjects) < 2:
-        raise DataError(f"loso_split: need at least 2 subjects, got "
-                        f"{len(subjects)}")
-    folds = []
-    for subject in subjects:
-        test_rows = [r for r in manifest.rows if r.subject_id == subject]
-        train_rows = [r for r in manifest.rows if r.subject_id != subject]
-        folds.append(LosoFold(
-            subject_id=subject,
-            train=Manifest(train_rows, manifest.label_map, manifest.base_dir),
-            test=Manifest(test_rows, manifest.label_map, manifest.base_dir)))
-    return folds
 
 
 # synthetic data -----------------------------------------------------------

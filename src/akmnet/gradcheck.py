@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import backward
+from . import tensor as T
+from .rng import RngStream
+from .tensor import Tensor, backward
 
 
 class SelectionMarginTracker:
@@ -147,13 +149,9 @@ def standard_primitive_cases():
 
     Returns an ordered mapping of case name to a zero-argument builder; each
     builder yields (objective, params, names) ready for grad_check. Inputs
-    are kept away from kinks (relu zeros, max ties) so central differences
-    are trustworthy.
+    are kept away from kinks (relu zeros) so central differences are
+    trustworthy.
     """
-    from . import tensor as T
-    from .rng import RngStream
-    from .tensor import Tensor
-
     def leaf(rng, shape, low=None):
         x = rng.normal(shape, dtype=np.float64)
         if low is not None:
@@ -240,12 +238,6 @@ def standard_primitive_cases():
         idx = np.array([0, 2, 2])
         return (lambda: T.sum_(T.mul(T.gather(x, idx), c))), [x], ["x"]
 
-    def build_max(rng):
-        base = np.arange(12, dtype=np.float64).reshape(3, 4)
-        x = Tensor(base + 0.1 * rng.normal((3, 4), dtype=np.float64),
-                   requires_grad=True, dtype=np.float64)
-        return (lambda: T.max_(x)), [x], ["x"]
-
     def build_gru_encode(rng):
         # 2 layers of hidden size 2 over T = 3 steps of a 2-channel 1x2 grid
         x = leaf(rng, (3, 2, 1, 2))
@@ -289,7 +281,6 @@ def standard_primitive_cases():
         case("exact_weighted_sum", build_exact_sum),
         case("cosine_rows", build_cosine),
         case("gather", build_gather),
-        case("max", build_max),
         case("gru_encode", build_gru_encode),
         case("structural", build_structural),
     ])

@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbone import Backbone, desk_backbone, extract_spatial_features
-from .recurrent import ClassifierHead, GruParams, classify, pixelwise_encode, total_loss
+from .recurrent import (ClassifierHead, GruParams, classify, cross_entropy,
+                        pixelwise_encode, total_loss)
 from .rng import RngStream
 from .selection import init_akm_params
 from .tensor import DEFAULT_DTYPE, Tensor
+from .variants import make_variant
 
 
 @dataclass
@@ -49,7 +51,6 @@ class AkmNet:
     """Key-frame mining classifier for variable-length clips."""
 
     def __init__(self, config, policy=None, rng=None, dtype=DEFAULT_DTYPE):
-        from .variants import make_variant
         if rng is None:
             rng = RngStream(0)
         self.config = config
@@ -95,7 +96,6 @@ class AkmNet:
         probs = classify(temporal, self.head, training=training, rng=rng)
         result = ForwardResult(probs=probs, selection=sel, losses=losses)
         if label is not None:
-            from .recurrent import cross_entropy
             result.classification_loss = cross_entropy(probs, label)
             result.omega = total_loss(probs, label, losses.combined)
         return result
@@ -121,7 +121,6 @@ class ModelBuilder:
     precision: str = "f32"
 
     def __call__(self, seed):
-        from .variants import make_variant
         dtype = np.float64 if self.precision == "f64" else np.float32
         return AkmNet(self.config, policy=make_variant(self.variant),
                       rng=RngStream(seed), dtype=dtype)

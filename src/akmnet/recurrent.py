@@ -120,7 +120,7 @@ def gru_step(h_prev, x, cell):
     return out.reshape(h.shape[0])
 
 
-def pixelwise_encode(key_features, gru_params, return_steps=False):
+def pixelwise_encode(key_features, gru_params):
     """Encode the key-frame sequence at every spatial position at once.
 
     Positions ride the batch axis of each step, which is equivalent to
@@ -129,16 +129,11 @@ def pixelwise_encode(key_features, gru_params, return_steps=False):
     averaged over time with exactly rounded summation, so reversing the
     step order yields bit-identical results; this is what makes the head
     agree exactly under temporal reversal with swapped directions. Returns
-    the (C', H, W) time-averaged feature; with ``return_steps`` also the
-    per-step last-layer outputs, (H*W, C') each, as constants.
+    the (C', H, W) time-averaged feature.
     """
     feats = key_features.features if hasattr(key_features, "features") else key_features
     layers = [((f.wz, f.wr, f.wh), (r.wz, r.wr, r.wh)) for f, r in gru_params.layers]
-    steps = [] if return_steps else None
-    feature = SpatioTemporalFeature(values=T.gru_encode(feats, layers, steps=steps))
-    if return_steps:
-        return feature, [T.constant(s, dtype=s.dtype) for s in steps]
-    return feature
+    return SpatioTemporalFeature(values=T.gru_encode(feats, layers))
 
 
 class ClassifierHead:

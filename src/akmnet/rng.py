@@ -13,27 +13,18 @@ from .tensor import DEFAULT_DTYPE, Tensor
 
 
 class RngStream:
-    """Seed plus draw counter around numpy's PCG64 generator.
+    """Seeded wrapper around numpy's PCG64 generator.
 
-    ``reset()`` rewinds to the initial state and replays the identical
-    sequence. ``child(tag)`` derives an independent stream keyed by the tag,
-    so one consumer changing how many draws it makes cannot shift any other
+    ``child(tag)`` derives an independent stream keyed by the tag, so one
+    consumer changing how many draws it makes cannot shift any other
     consumer's sequence.
     """
 
     def __init__(self, seed, spawn_key=()):
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
-        self.counter = 0
-        self._gen = self._fresh()
-
-    def _fresh(self):
         ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        return np.random.Generator(np.random.PCG64(ss))
-
-    def reset(self):
-        self.counter = 0
-        self._gen = self._fresh()
+        self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def child(self, tag):
         # crc32 keeps the derivation stable across runs (no salted hashing)
@@ -41,19 +32,15 @@ class RngStream:
         return RngStream(self.seed, self.spawn_key + (key,))
 
     def normal(self, shape=(), scale=1.0, dtype=DEFAULT_DTYPE):
-        self.counter += 1
         return (self._gen.standard_normal(size=shape) * scale).astype(dtype)
 
     def uniform(self, shape=(), low=0.0, high=1.0, dtype=DEFAULT_DTYPE):
-        self.counter += 1
         return self._gen.uniform(low, high, size=shape).astype(dtype)
 
     def integers(self, low, high=None, size=None):
-        self.counter += 1
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n):
-        self.counter += 1
         return self._gen.permutation(n)
 
 

@@ -282,33 +282,48 @@ def gsmmm_loss(l_sparsity, l_margin, sparsity_weight=0.1, margin_weight=1.0):
                  T.mul(l_margin, float(margin_weight)))
 
 
+def gate_scores(features, scores, params, gate_grad="surrogate", alpha=None,
+                aggregate=None):
+    """Gate one clip's frames by their scores: the tail every score-based
+    policy shares.
+
+    Binarizes ``scores``, gathers the kept frames through the
+    straight-through gather and builds the relaxed gate and the selection
+    losses. ``alpha`` (default: the scores) and ``aggregate`` are only
+    reported in the selection record. ``gate_grad`` chooses the score
+    gradient of the hard gate as described in the module docstring.
+    """
+    if gate_grad not in GATE_GRAD_MODES:
+        raise ValueError(f"selection: gate_grad must be one of {GATE_GRAD_MODES}, got {gate_grad!r}")
+    gate, kept_idx0, fallback = binarize(scores)
+    surrogate_idx0 = kept_idx0 if (gate_grad == "surrogate" and not fallback) else ()
+    key = gather_key_frames(features, gate, beta=scores, surrogate_idx0=surrogate_idx0)
+
+    dtype = scores.data.dtype
+    relaxed = T.mul(scores, Tensor(gate.astype(dtype), dtype=dtype))
+    l_gs = sparsity_loss(relaxed)
+    l_mmm = margin_loss(scores, gate, margin_constant=params.margin_constant)
+    combined = gsmmm_loss(l_gs, l_mmm,
+                          sparsity_weight=params.sparsity_weight,
+                          margin_weight=params.margin_weight)
+
+    result = SelectionResult(alpha=scores if alpha is None else alpha,
+                             global_feature=aggregate, beta=scores,
+                             binary=gate, indices=key.source_indices,
+                             relaxed=relaxed, fallback=fallback)
+    return key, result, MiningLosses(sparsity=l_gs, margin=l_mmm, combined=combined)
+
+
 def mine(features, params, gate_grad="surrogate"):
     """Run the full selection pipeline on one clip's feature sequence.
 
     Returns the gathered key-frame features, the selection record and the
-    selection losses. ``gate_grad`` chooses the score gradient of the hard
-    gate as described in the module docstring.
+    selection losses; ``gate_grad`` is passed to ``gate_scores``.
     """
-    if gate_grad not in GATE_GRAD_MODES:
-        raise ValueError(f"mine: gate_grad must be one of {GATE_GRAD_MODES}, got {gate_grad!r}")
     feats = _as_feature_tensor(features)
     pooled = pool_spatial(feats)
     alpha = local_attention(pooled, params)
     aggregate = global_aggregate(pooled, alpha)
     beta = correlate(pooled, aggregate)
-    gate, kept_idx0, fallback = binarize(beta)
-
-    surrogate_idx0 = kept_idx0 if (gate_grad == "surrogate" and not fallback) else ()
-    key = gather_key_frames(feats, gate, beta=beta, surrogate_idx0=surrogate_idx0)
-
-    relaxed = T.mul(beta, T.Tensor(gate.astype(beta.data.dtype), dtype=beta.data.dtype))
-    l_gs = sparsity_loss(relaxed)
-    l_mmm = margin_loss(beta, gate, margin_constant=params.margin_constant)
-    combined = gsmmm_loss(l_gs, l_mmm,
-                          sparsity_weight=params.sparsity_weight,
-                          margin_weight=params.margin_weight)
-
-    result = SelectionResult(alpha=alpha, global_feature=aggregate, beta=beta,
-                             binary=gate, indices=key.source_indices,
-                             relaxed=relaxed, fallback=fallback)
-    return key, result, MiningLosses(sparsity=l_gs, margin=l_mmm, combined=combined)
+    return gate_scores(feats, beta, params, gate_grad=gate_grad, alpha=alpha,
+                       aggregate=aggregate)

@@ -147,9 +147,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return mean_(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None):
-        return max_(self, axis=axis)
-
     def reshape(self, *shape):
         if len(shape) == 1 and not isinstance(shape[0], int):
             shape = tuple(shape[0])
@@ -520,7 +517,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     return _node(out, "conv2d", parents, rule)
 
 
-def gru_encode(x, layers, steps=None):
+def gru_encode(x, layers):
     """Pixel-wise bidirectional GRU over a frame sequence, averaged over time.
 
     ``x`` is (N, C, H, W): N steps of a C-channel grid. ``layers`` holds one
@@ -530,8 +527,7 @@ def gru_encode(x, layers, steps=None):
     from a zero state; a layer's per-step output concatenates the two
     directions and is the next layer's input. Returns the last layer's
     per-step outputs averaged over time with exactly rounded summation, as
-    (2 * hidden, H, W). When ``steps`` is a list, those per-step outputs,
-    each (H * W, 2 * hidden), are appended to it.
+    (2 * hidden, H, W).
 
     The whole recurrence is one graph node. Its forward runs the numpy
     operations of the per-step op chain (``cat``, ``matmul``, ``sigmoid``,
@@ -571,8 +567,6 @@ def gru_encode(x, layers, steps=None):
         r_states, r_tape = _gru_direction(inputs, rev, ones, reverse=True)
         inputs = [np.concatenate([f, r], axis=1) for f, r in zip(f_states, r_states)]
         tapes.append((f_tape, r_tape))
-    if steps is not None:
-        steps.extend(inputs)
     weights = np.full(n, 1.0 / n).astype(dtype)
     rows = np.concatenate([s.reshape(1, p * size_in) for s in inputs], axis=0)
     out = _exact_weighted_sum_data(rows, weights).reshape(p, size_in).T.reshape(size_in, gh, gw)
@@ -841,58 +835,7 @@ def mean_(a, axis=None, keepdims=False):
     return _node(np.asarray(data), "mean", (a,), rule)
 
 
-def max_(a, axis=None):
-    """Max reduction; gradient routes to the first occurrence of the max."""
-    a = _as_tensor(a)
-    if axis is None:
-        data = a.data.max()
-        flat_idx = int(np.argmax(a.data))
-
-        def rule(g):
-            buf = np.zeros_like(a.data)
-            buf.flat[flat_idx] = g
-            a.accumulate(buf)
-    else:
-        data = a.data.max(axis=axis)
-        arg = np.argmax(a.data, axis=axis)
-
-        def rule(g):
-            buf = np.zeros_like(a.data)
-            np.put_along_axis(buf, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis)
-            a.accumulate(buf)
-
-    return _node(np.asarray(data), "max", (a,), rule)
-
-
 # -- composites the model uses directly ------------------------------------
-
-
-def l2_norm(a):
-    """Euclidean norm of a flattened tensor, as a differentiable scalar."""
-    a = _as_tensor(a)
-    flat = reshape(a, (a.size,))
-    return sqrt(sum_(mul(flat, flat)))
-
-
-def cosine_similarity(a, b, eps=1e-8):
-    """Cosine of the angle between two vectors.
-
-    The denominator is stabilized with ``eps``, so a zero-norm operand gives
-    exactly 0 rather than NaN.
-    """
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeMismatch("cosine_similarity", a.shape, b.shape)
-    dot = sum_(mul(a, b))
-    denom = add(mul(l2_norm(a), l2_norm(b)), constant(eps, dtype=a.data.dtype))
-    return div(dot, denom)
-
-
-def apply_mask(a, mask):
-    """Multiply by a constant mask (dropout application)."""
-    a = _as_tensor(a)
-    return mul(a, Tensor(np.asarray(mask, dtype=a.data.dtype), dtype=a.data.dtype))
 
 
 def cosine_rows(mat, vec, eps=1e-8):

@@ -3,8 +3,9 @@ and fixed frame-subset baselines.
 
 A policy owns two hooks. ``prepare`` runs on the raw frame stack before the
 backbone and may subsample or resample it; ``select`` runs on the per-frame
-features and decides which of them feed the temporal head. Exactly one policy
-is active per model instance.
+features and decides which of them feed the temporal head. The base
+``select`` keeps every prepared frame, so the ``va-*`` baselines override
+only ``prepare``. Exactly one policy is active per model instance.
 
 Naming: ``s123`` is the full pipeline (attention, aggregation+correlation,
 binarization). ``s12`` stops before the hard gate and soft-scales every frame
@@ -20,26 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import temporal_resample
 from .selection import (
     KeyFrameFeatures,
     MiningLosses,
     SelectionResult,
     _as_feature_tensor,
-    binarize,
     correlate,
+    gate_scores,
     gather_key_frames,
     global_aggregate,
-    gsmmm_loss,
     local_attention,
-    margin_loss,
     mine,
     pool_spatial,
-    sparsity_loss,
 )
-from .tensor import Tensor
-
-VARIANT_NAMES = ("s123", "s12", "s13", "s23",
-                 "va-all", "va-norm", "va-random", "va-last10")
 
 
 @dataclass(frozen=True)
@@ -48,24 +43,6 @@ class SubsetMeta:
 
     original_total: int
     kept: tuple
-
-
-class SelectionPolicy:
-    """Base: pass frames through untouched, subclasses decide selection."""
-
-    name = "base"
-    uses_selection_losses = False
-    stochastic = False
-
-    def prepare(self, frames, rng=None):
-        return frames, None
-
-    def select(self, features, akm, original_indices=None,
-               gate_grad="surrogate", rng=None):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<policy {self.name}>"
 
 
 def _zero_loss(dtype):
@@ -93,28 +70,27 @@ def _identity_select(feats, original_indices):
     return key, sel, _zero_loss(feats.data.dtype)
 
 
-def _binarized_scores(feats, scores, akm, gate_grad, aggregate=None):
-    """Shared tail of the score-based policies: gate, gather, losses."""
-    gate, kept_idx0, fallback = binarize(scores)
-    surrogate_idx0 = kept_idx0 if (gate_grad == "surrogate" and not fallback) else ()
-    key = gather_key_frames(feats, gate, beta=scores, surrogate_idx0=surrogate_idx0)
-    relaxed = T.mul(scores, Tensor(gate.astype(scores.data.dtype),
-                                   dtype=scores.data.dtype))
-    l_gs = sparsity_loss(relaxed)
-    l_mmm = margin_loss(scores, gate, margin_constant=akm.margin_constant)
-    combined = gsmmm_loss(l_gs, l_mmm, sparsity_weight=akm.sparsity_weight,
-                          margin_weight=akm.margin_weight)
-    sel = SelectionResult(alpha=scores, global_feature=aggregate, beta=scores,
-                          binary=gate, indices=key.source_indices,
-                          relaxed=relaxed, fallback=fallback)
-    return key, sel, MiningLosses(sparsity=l_gs, margin=l_mmm, combined=combined)
+class SelectionPolicy:
+    """Base: pass the frames through untouched and keep every one of them."""
+
+    name = "base"
+    stochastic = False
+
+    def prepare(self, frames, rng=None):
+        return frames, None
+
+    def select(self, features, akm, original_indices=None,
+               gate_grad="surrogate", rng=None):
+        return _identity_select(_as_feature_tensor(features), original_indices)
+
+    def __repr__(self):
+        return f"<policy {self.name}>"
 
 
 class FullMining(SelectionPolicy):
     """Attention, exact aggregation, correlation, hard gate: the default."""
 
     name = "s123"
-    uses_selection_losses = True
 
     def select(self, features, akm, original_indices=None,
                gate_grad="surrogate", rng=None):
@@ -147,21 +123,18 @@ class AttentionGate(SelectionPolicy):
     """Binarize the attention weights themselves; no aggregate, no cosine."""
 
     name = "s13"
-    uses_selection_losses = True
 
     def select(self, features, akm, original_indices=None,
                gate_grad="surrogate", rng=None):
         feats = _as_feature_tensor(features)
-        pooled = pool_spatial(feats)
-        alpha = local_attention(pooled, akm)
-        return _binarized_scores(feats, alpha, akm, gate_grad)
+        alpha = local_attention(pool_spatial(feats), akm)
+        return gate_scores(feats, alpha, akm, gate_grad=gate_grad)
 
 
 class UniformAggregate(SelectionPolicy):
     """Drop the learned attention: aggregate with uniform 1/T weights."""
 
     name = "s23"
-    uses_selection_losses = True
 
     def select(self, features, akm, original_indices=None,
                gate_grad="surrogate", rng=None):
@@ -171,20 +144,14 @@ class UniformAggregate(SelectionPolicy):
         alpha = T.constant(np.full(n, 1.0 / n, dtype=pooled.data.dtype))
         aggregate = global_aggregate(pooled, alpha)
         beta = correlate(pooled, aggregate)
-        key, sel, losses = _binarized_scores(feats, beta, akm, gate_grad,
-                                             aggregate=aggregate)
-        sel.alpha = alpha
-        return key, sel, losses
+        return gate_scores(feats, beta, akm, gate_grad=gate_grad, alpha=alpha,
+                           aggregate=aggregate)
 
 
 class AllFrames(SelectionPolicy):
     """No selection at all: the temporal head sees the whole clip."""
 
     name = "va-all"
-
-    def select(self, features, akm, original_indices=None,
-               gate_grad="surrogate", rng=None):
-        return _identity_select(_as_feature_tensor(features), original_indices)
 
 
 class NormalizedLength(SelectionPolicy):
@@ -198,12 +165,7 @@ class NormalizedLength(SelectionPolicy):
         self.length = int(length)
 
     def prepare(self, frames, rng=None):
-        from .data import temporal_resample
         return temporal_resample(frames, self.length), None
-
-    def select(self, features, akm, original_indices=None,
-               gate_grad="surrogate", rng=None):
-        return _identity_select(_as_feature_tensor(features), original_indices)
 
 
 class RandomSubset(SelectionPolicy):
@@ -235,10 +197,6 @@ class RandomSubset(SelectionPolicy):
                           kept=tuple(int(i) + 1 for i in idx0))
         return frames[idx0], meta
 
-    def select(self, features, akm, original_indices=None,
-               gate_grad="surrogate", rng=None):
-        return _identity_select(_as_feature_tensor(features), original_indices)
-
 
 class LastTen(SelectionPolicy):
     """Keep the final min(10, T) frames of the clip."""
@@ -253,12 +211,21 @@ class LastTen(SelectionPolicy):
                           kept=tuple(range(start + 1, total + 1)))
         return frames[start:], meta
 
-    def select(self, features, akm, original_indices=None,
-               gate_grad="surrogate", rng=None):
-        return _identity_select(_as_feature_tensor(features), original_indices)
-
 
 DEFAULT_RANDOM_COUNT = 10
+
+# name -> (policy class, its one parameter or None, that parameter's default)
+_VARIANTS = {
+    "s123": (FullMining, None, None),
+    "s12": (SoftScores, None, None),
+    "s13": (AttentionGate, None, None),
+    "s23": (UniformAggregate, None, None),
+    "va-all": (AllFrames, None, None),
+    "va-norm": (NormalizedLength, "length", None),
+    "va-random": (RandomSubset, "count", DEFAULT_RANDOM_COUNT),
+    "va-last10": (LastTen, None, None),
+}
+VARIANT_NAMES = tuple(_VARIANTS)
 
 
 def make_variant(name, **params):
@@ -267,7 +234,7 @@ def make_variant(name, **params):
 
     Parameterized policies take their argument after a colon, fused onto the
     name, or as a keyword (``length`` for va-norm, ``count`` for va-random;
-    the count defaults to 10 when omitted).
+    the count defaults to 10 when omitted). A keyword wins over the name.
     """
     name = str(name)
     if ":" in name:
@@ -276,36 +243,23 @@ def make_variant(name, **params):
             arg = int(arg)
         except ValueError:
             raise ValueError(f"variant parameter must be an integer, got {arg!r}")
-        if name == "va-norm":
-            params.setdefault("length", arg)
-        elif name == "va-random":
-            params.setdefault("count", arg)
-        else:
+        key = _VARIANTS[name][1] if name in _VARIANTS else None
+        if key is None:
             raise ValueError(f"variant {name!r} takes no parameter")
-    elif name not in VARIANT_NAMES:
-        for stem, key in (("va-norm", "length"), ("va-random", "count")):
-            if name.startswith(stem) and name[len(stem):].isdigit():
+        params.setdefault(key, arg)
+    elif name not in _VARIANTS:
+        for stem, (_, key, _) in _VARIANTS.items():
+            if key and name.startswith(stem) and name[len(stem):].isdigit():
                 params.setdefault(key, int(name[len(stem):]))
                 name = stem
                 break
-    if name not in VARIANT_NAMES:
+    if name not in _VARIANTS:
         raise ValueError(f"unknown variant {name!r}, expected one of {VARIANT_NAMES}")
-    if name == "va-random":
-        params.setdefault("count", DEFAULT_RANDOM_COUNT)
-    if name == "s123":
-        return FullMining()
-    if name == "s12":
-        return SoftScores()
-    if name == "s13":
-        return AttentionGate()
-    if name == "s23":
-        return UniformAggregate()
-    if name == "va-all":
-        return AllFrames()
-    if name == "va-norm":
-        if "length" not in params:
-            raise ValueError("va-norm needs a length, e.g. 'va-norm:16'")
-        return NormalizedLength(params["length"])
-    if name == "va-random":
-        return RandomSubset(params["count"])
-    return LastTen()
+    cls, key, default = _VARIANTS[name]
+    if key is None:
+        return cls()
+    if default is not None:
+        params.setdefault(key, default)
+    if key not in params:
+        raise ValueError(f"{name} needs a {key}, e.g. '{name}:16'")
+    return cls(params[key])

@@ -7,7 +7,6 @@ own, entry by entry, before touching any parameter, so a file for a
 different configuration fails cleanly naming the first mismatch.
 """
 
-import hashlib
 import struct
 
 import numpy as np
@@ -33,11 +32,6 @@ def manifest_bytes(entries):
         out.append(struct.pack("<B", len(shape)))
         out.append(struct.pack(f"<{len(shape)}I", *shape) if shape else b"")
     return b"".join(out)
-
-
-def manifest_hash(named_params):
-    """Hex digest identifying a parameter layout (not the values)."""
-    return hashlib.sha256(manifest_bytes(manifest_entries(named_params))).hexdigest()
 
 
 def save_weights(path, named_params):

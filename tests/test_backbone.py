@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from akmnet import tensor as T
-from akmnet.backbone import (BackboneConfig, _stage_strides, build_backbone,
-                             desk_backbone, extract_spatial_features, paper_backbone)
+from akmnet.backbone import (Backbone, BackboneConfig, _stage_strides, desk_backbone,
+                             extract_spatial_features, paper_backbone)
 from akmnet.gradcheck import grad_check
 from akmnet.rng import RngStream
 from akmnet.tensor import Tensor
@@ -40,39 +40,39 @@ class TestConfig:
 
 class TestShapes:
     def test_desk_preset_output_shape(self):
-        bb = build_backbone(desk_backbone(), RngStream(0))
+        bb = Backbone(desk_backbone(), RngStream(0))
         clip = np.zeros((9, 32, 32), dtype=np.float32)
         fs = extract_spatial_features(clip, bb)
         assert fs.features.shape == (9, 64, 2, 2)
         assert fs.frame_count == 9
 
     def test_paper_preset_output_shape(self):
-        bb = build_backbone(paper_backbone(), RngStream(0))
+        bb = Backbone(paper_backbone(), RngStream(0))
         clip = np.zeros((1, 128, 128), dtype=np.float32)
         fs = extract_spatial_features(clip, bb)
         assert fs.features.shape == (1, 512, 4, 4)
 
     @pytest.mark.parametrize("t", [1, 5, 17])
     def test_length_preserved(self, t):
-        bb = build_backbone(tiny_config(), RngStream(1))
+        bb = Backbone(tiny_config(), RngStream(1))
         fs = extract_spatial_features(np.zeros((t, 8, 8), dtype=np.float32), bb)
         assert fs.frame_count == t
 
     def test_frame_size_mismatch_names_frame(self):
-        bb = build_backbone(tiny_config(), RngStream(1))
+        bb = Backbone(tiny_config(), RngStream(1))
         frames = [np.zeros((8, 8), dtype=np.float32), np.zeros((9, 8), dtype=np.float32)]
         with pytest.raises(ValueError, match="frame 1"):
             extract_spatial_features(frames, bb)
 
     def test_empty_clip_rejected(self):
-        bb = build_backbone(tiny_config(), RngStream(1))
+        bb = Backbone(tiny_config(), RngStream(1))
         with pytest.raises(ValueError, match="no frames"):
             extract_spatial_features([], bb)
 
 
 class TestPurity:
     def test_duplicated_frame_gives_identical_features(self):
-        bb = build_backbone(desk_backbone(), RngStream(2))
+        bb = Backbone(desk_backbone(), RngStream(2))
         rng = np.random.default_rng(3)
         clip = rng.normal(size=(5, 32, 32)).astype(np.float32)
         clip[3] = clip[2]
@@ -80,7 +80,7 @@ class TestPurity:
         assert np.array_equal(out[2], out[3])
 
     def test_frame_permutation_equivariance_exact(self):
-        bb = build_backbone(desk_backbone(), RngStream(4))
+        bb = Backbone(desk_backbone(), RngStream(4))
         rng = np.random.default_rng(5)
         for _ in range(5):
             t = int(rng.integers(2, 9))
@@ -91,8 +91,8 @@ class TestPurity:
             assert np.array_equal(base[perm], shuffled)
 
     def test_same_seed_same_parameters(self):
-        a = build_backbone(desk_backbone(), RngStream(6))
-        b = build_backbone(desk_backbone(), RngStream(6))
+        a = Backbone(desk_backbone(), RngStream(6))
+        b = Backbone(desk_backbone(), RngStream(6))
         for (na, pa), (nb, pb) in zip(a.parameters(), b.parameters()):
             assert na == nb
             assert np.array_equal(pa.data, pb.data)
@@ -100,7 +100,7 @@ class TestPurity:
 
 class TestGradients:
     def test_backbone_passes_grad_check(self):
-        bb = build_backbone(tiny_config(), RngStream(7), dtype=np.float64)
+        bb = Backbone(tiny_config(), RngStream(7), dtype=np.float64)
         rng = np.random.default_rng(8)
         clip = rng.normal(size=(2, 1, 8, 8))
         readout = Tensor(rng.normal(size=(2, 3, 2, 2)), dtype=np.float64)
@@ -117,19 +117,19 @@ class TestGradients:
 
 class TestWeightFile:
     def test_round_trip_is_bit_identical(self, tmp_path):
-        bb = build_backbone(desk_backbone(), RngStream(9))
+        bb = Backbone(desk_backbone(), RngStream(9))
         clip = np.random.default_rng(10).normal(size=(3, 32, 32)).astype(np.float32)
         before = extract_spatial_features(clip, bb).features.data.copy()
         path = tmp_path / "bb.akmw"
         save_weights(path, bb.parameters())
 
-        other = build_backbone(desk_backbone(), RngStream(999))
+        other = Backbone(desk_backbone(), RngStream(999))
         load_weights(path, other.parameters())
         after = extract_spatial_features(clip, other).features.data
         assert np.array_equal(before, after)
 
     def test_truncated_file_rejected(self, tmp_path):
-        bb = build_backbone(tiny_config(), RngStream(11))
+        bb = Backbone(tiny_config(), RngStream(11))
         path = tmp_path / "bb.akmw"
         save_weights(path, bb.parameters())
         blob = path.read_bytes()
@@ -138,16 +138,16 @@ class TestWeightFile:
             load_weights(path, bb.parameters())
 
     def test_wrong_config_names_parameter(self, tmp_path):
-        small = build_backbone(tiny_config(), RngStream(12))
+        small = Backbone(tiny_config(), RngStream(12))
         path = tmp_path / "bb.akmw"
         save_weights(path, small.parameters())
-        big = build_backbone(desk_backbone(), RngStream(13))
+        big = Backbone(desk_backbone(), RngStream(13))
         with pytest.raises(WeightFileError, match="manifest mismatch"):
             load_weights(path, big.parameters())
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.akmw"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        bb = build_backbone(tiny_config(), RngStream(14))
+        bb = Backbone(tiny_config(), RngStream(14))
         with pytest.raises(WeightFileError, match="magic"):
             load_weights(path, bb.parameters())

@@ -4,16 +4,13 @@ import pytest
 from akmnet import RngStream
 from akmnet.data import (
     DataError,
-    Manifest,
     ManifestRow,
     SynthSpec,
-    balance_resample,
     bilinear_resize,
     crop_frames,
     load_manifest,
     load_packed,
     load_truth,
-    loso_split,
     read_clip,
     read_pgm,
     save_packed,
@@ -72,6 +69,14 @@ class TestManifest:
     def test_malformed_index_names_line(self, tmp_path):
         p = write_manifest(tmp_path / "m.csv", "c1,s1,positive,a,x,,,\n")
         with pytest.raises(DataError, match="line 2.*onset"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("rate", ["abc", "-5", "0", "nan", "inf"])
+    def test_bad_framerate_names_line(self, tmp_path, rate):
+        p = write_manifest(tmp_path / "m.csv",
+                           "c1,s1,positive,a,,,,60\n"
+                           f"c2,s1,positive,b,,,,{rate}\n")
+        with pytest.raises(DataError, match="line 3: framerate"):
             load_manifest(p)
 
     def test_custom_label_map(self, tmp_path):
@@ -256,68 +261,6 @@ class TestTemporalResample:
     def test_short_target_rejected(self):
         with pytest.raises(ValueError, match="target_len"):
             temporal_resample(np.zeros((3, 2, 2)), 1)
-
-
-def toy_manifest(counts):
-    rows = []
-    i = 0
-    for name, count in counts.items():
-        for _ in range(count):
-            rows.append(ManifestRow(f"c{i}", f"s{i % 3}", name, f"p{i}",
-                                    None, None, None, None))
-            i += 1
-    label_map = {name: k for k, name in enumerate(counts)}
-    return Manifest(rows=rows, label_map=label_map)
-
-
-class TestBalance:
-    def test_minority_duplicated_to_majority(self):
-        m = balance_resample(toy_manifest({"a": 10, "b": 4}), RngStream(0))
-        counts = m.class_counts()
-        assert counts == {"a": 10, "b": 10}
-
-    def test_originals_all_kept(self):
-        src = toy_manifest({"a": 5, "b": 2})
-        out = balance_resample(src, RngStream(1))
-        ids = [r.clip_id for r in out.rows]
-        for r in src.rows:
-            assert r.clip_id in ids
-
-    def test_balanced_input_unchanged(self):
-        src = toy_manifest({"a": 3, "b": 3})
-        out = balance_resample(src, RngStream(2))
-        assert len(out) == 6
-
-    def test_non_train_split_rejected(self):
-        with pytest.raises(ValueError, match="training data only"):
-            balance_resample(toy_manifest({"a": 1, "b": 1}), RngStream(3),
-                             split="test")
-
-    def test_empty_class_rejected(self):
-        with pytest.raises(DataError, match="no clips"):
-            balance_resample(toy_manifest({"a": 3, "b": 0}), RngStream(4))
-
-
-class TestLosoSplit:
-    def test_one_fold_per_subject(self):
-        m = toy_manifest({"a": 6, "b": 3})   # subjects s0, s1, s2
-        folds = loso_split(m)
-        assert len(folds) == 3
-        for fold in folds:
-            assert all(r.subject_id == fold.subject_id for r in fold.test.rows)
-            assert all(r.subject_id != fold.subject_id for r in fold.train.rows)
-
-    def test_partition_property(self):
-        m = toy_manifest({"a": 6, "b": 3})
-        folds = loso_split(m)
-        tested = [r.clip_id for fold in folds for r in fold.test.rows]
-        assert sorted(tested) == sorted(r.clip_id for r in m.rows)
-
-    def test_single_subject_rejected(self):
-        rows = [ManifestRow("c0", "s0", "a", "p", None, None, None, None),
-                ManifestRow("c1", "s0", "a", "p", None, None, None, None)]
-        with pytest.raises(DataError, match="at least 2 subjects"):
-            loso_split(Manifest(rows=rows, label_map={"a": 0}))
 
 
 class TestSynth:

@@ -122,7 +122,8 @@ class TestPixelwiseEncode:
         gp = random_gru(4, 3, 2, seed=10)
         feats = Tensor(np.random.default_rng(11).normal(size=(5, 4, 2, 2)),
                        dtype=np.float64)
-        g, steps = pixelwise_encode(feats, gp, return_steps=True)
+        g = pixelwise_encode(feats, gp)
+        steps = per_op_steps(feats, gp)
         n = len(steps)
         flat = g.values.data.reshape(6, 4)
         # recompute each half's average with the same exactly rounded scheme
@@ -193,9 +194,9 @@ class TestPixelwiseEncode:
         assert report.ok(1e-5), (report.max_rel_error, report.failures)
 
 
-def per_op_encode(feats, gru_params):
-    """The unfused graph of the bi-GRU encoding, one node per operation:
-    the reference ``tensor.gru_encode`` must match bit for bit."""
+def per_op_steps(feats, gru_params):
+    """The unfused graph of the bi-GRU, one node per operation, up to the
+    last layer's per-step outputs, (H*W, 2*hidden) each."""
     n, c, gh, gw = feats.shape
     p = gh * gw
     dtype = feats.data.dtype
@@ -215,6 +216,16 @@ def per_op_encode(feats, gru_params):
     for fwd_cell, rev_cell in gru_params.layers:
         fwd, rev = run(fwd_cell, False), run(rev_cell, True)
         inputs = [T.cat([f, r], axis=1) for f, r in zip(fwd, rev)]
+    return inputs
+
+
+def per_op_encode(feats, gru_params):
+    """The unfused graph of the bi-GRU encoding, one node per operation:
+    the reference ``tensor.gru_encode`` must match bit for bit."""
+    n, c, gh, gw = feats.shape
+    p = gh * gw
+    dtype = feats.data.dtype
+    inputs = per_op_steps(feats, gru_params)
     c_out = gru_params.output_size
     rows = T.cat([s.reshape(1, p * c_out) for s in inputs], axis=0)
     weights = T.constant(np.full(n, 1.0 / n), dtype=dtype)
