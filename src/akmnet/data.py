@@ -164,8 +164,15 @@ def save_manifest(manifest, path):
                 "" if r.onset is None else r.onset,
                 "" if r.apex is None else r.apex,
                 "" if r.offset is None else r.offset,
-                "" if r.framerate is None else f"{r.framerate:g}",
+                "" if r.framerate is None else _format_rate(r.framerate),
             ])
+
+
+def _format_rate(rate):
+    """Shortest text that reads back as the same float: 60 stays ``60``."""
+    rate = float(rate)
+    short = f"{rate:g}"
+    return short if float(short) == rate else repr(rate)
 
 
 # frame formats ------------------------------------------------------------

@@ -160,7 +160,7 @@ def classify(feature, head, training=False, rng=None):
     evaluation-mode calls on the same input are identical.
     """
     g = feature.values if isinstance(feature, SpatioTemporalFeature) else feature
-    flat = g.reshape(int(np.prod(g.shape)))
+    flat = g.reshape(g.size)
     if training and head.dropout_p > 0.0:
         if rng is None:
             raise ValueError("classify: training-mode dropout needs an rng")

@@ -208,9 +208,11 @@ def selection_backward(g_key, frame_values, kept_idx0, surrogate_idx0=None):
     d_frames[kept_idx0] = g_key
     d_scores = np.zeros(frame_values.shape[0], dtype=frame_values.dtype)
     if surrogate_idx0 is not None and len(surrogate_idx0):
-        surrogate_mask = np.isin(kept_idx0, surrogate_idx0)
-        rows = np.flatnonzero(surrogate_mask)
-        per_frame = (g_key[rows] * frame_values[kept_idx0[rows]]).reshape(len(rows), -1).sum(axis=1)
+        is_surrogate = np.zeros(frame_values.shape[0], dtype=bool)
+        is_surrogate[surrogate_idx0] = True
+        rows = np.flatnonzero(is_surrogate[kept_idx0])
+        per_frame = np.add.reduce((g_key[rows] * frame_values[kept_idx0[rows]])
+                                  .reshape(len(rows), -1), axis=1)
         d_scores[kept_idx0[rows]] = per_frame.astype(frame_values.dtype)
     return d_frames, d_scores
 

@@ -243,16 +243,17 @@ def _unbroadcast(g, shape):
     """Reduce a broadcast gradient back to the original operand shape."""
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axis=axes, keepdims=True)
     return g.reshape(shape)
 
 
-def _check_broadcast(op, a, b):
+def _broadcast_op(op, ufunc, a, b):
+    """Apply a binary ufunc; a broadcast failure names the primitive."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeMismatch(op, a.shape, b.shape) from None
 
@@ -260,8 +261,7 @@ def _check_broadcast(op, a, b):
 def add(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_broadcast("add", a, b)
-    data = a.data + b.data
+    data = _broadcast_op("add", np.add, a, b)
 
     def rule(g):
         a.accumulate(_unbroadcast(g, a.shape))
@@ -273,8 +273,7 @@ def add(a, b):
 def sub(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_broadcast("sub", a, b)
-    data = a.data - b.data
+    data = _broadcast_op("sub", np.subtract, a, b)
 
     def rule(g):
         a.accumulate(_unbroadcast(g, a.shape))
@@ -286,8 +285,7 @@ def sub(a, b):
 def mul(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_broadcast("mul", a, b)
-    data = a.data * b.data
+    data = _broadcast_op("mul", np.multiply, a, b)
 
     def rule(g):
         a.accumulate(_unbroadcast(g * b.data, a.shape))
@@ -299,8 +297,7 @@ def mul(a, b):
 def div(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_broadcast("div", a, b)
-    data = a.data / b.data
+    data = _broadcast_op("div", np.divide, a, b)
 
     def rule(g):
         a.accumulate(_unbroadcast(g / b.data, a.shape))
@@ -335,7 +332,8 @@ def relu(a):
 def _sigmoid_data(x):
     # split by sign to avoid exp overflow
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
 
 
 def sigmoid(a):
@@ -453,11 +451,12 @@ def global_avg_pool(x):
     if x.ndim != 4:
         raise ShapeMismatch("global_avg_pool", x.shape, (-1, -1, -1, -1), "expects NCHW")
     m = x.shape[2] * x.shape[3]
-    data = x.data.mean(axis=(2, 3), dtype=x.data.dtype)
+    data = np.add.reduce(x.data, axis=(2, 3)) / m
 
     def rule(g):
-        scaled = g / np.asarray(m, dtype=g.dtype)
-        x.accumulate(np.broadcast_to(scaled[:, :, None, None], x.shape).astype(g.dtype, copy=True))
+        spread = np.empty(x.shape, dtype=g.dtype)
+        spread[...] = (g / np.asarray(m, dtype=g.dtype))[:, :, None, None]
+        x.accumulate(spread)
 
     return _node(data, "global_avg_pool", (x,), rule)
 
@@ -483,7 +482,12 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if ho < 1 or wo < 1:
         raise ShapeMismatch("conv2d", x.shape, w.shape, "kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    if p:
+        # np.pad's Python-level set-up costs more than the copy itself
+        xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p), dtype=x.data.dtype)
+        xp[:, :, p:p + h, p:p + wd] = x.data
+    else:
+        xp = x.data
     cols = np.empty((n, cin, kh, kw, ho, wo), dtype=x.data.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -502,13 +506,13 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     def rule(g):
         g_mat = g.reshape(n, cout, ho * wo)
         if w.requires_grad:
-            dw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0)
+            dw = np.add.reduce(np.matmul(g_mat, cols_mat.transpose(0, 2, 1)), axis=0)
             w.accumulate(dw.reshape(w.shape))
         if b is not None and b.requires_grad:
-            b.accumulate(g.sum(axis=(0, 2, 3)))
+            b.accumulate(np.add.reduce(g, axis=(0, 2, 3)))
         if x.requires_grad:
             dcols = np.matmul(w_mat.T, g_mat).reshape(n, cin, kh, kw, ho, wo)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(xp.shape, dtype=xp.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
@@ -532,8 +536,8 @@ def gru_encode(x, layers):
     The whole recurrence is one graph node. Its forward runs the numpy
     operations of the per-step op chain (``cat``, ``matmul``, ``sigmoid``,
     ``tanh``, ``sub``, ``mul`` and ``add`` per step, then
-    ``exact_weighted_sum``) in their order. Its backward through time
-    repeats each of their backward rules and sums every gradient in the
+    ``exact_weighted_sum``) with the same operands. Its backward through
+    time repeats each of their backward rules and sums every gradient in the
     order that chain's graph does, so outputs and gradients are
     bit-identical to it.
     """
@@ -555,112 +559,146 @@ def gru_encode(x, layers):
                                     "gate matrix is (hidden, hidden + input + 1)")
         size_in = 2 * hidden
 
-    seq = x.data.reshape(n, c, p).transpose(0, 2, 1)
-    # C-ordered copies, as gather makes: concatenating the transposed views
-    # can give an F-ordered operand, and BLAS then rounds its products
-    # differently
-    inputs = [np.ascontiguousarray(seq[t]) for t in range(n)]
-    ones = np.ones((p, 1), dtype=dtype)
+    # (steps, positions, channels), C-ordered as gather makes it: a
+    # transposed view can reach BLAS as an F-ordered operand, and BLAS then
+    # rounds its products differently
+    inputs = np.ascontiguousarray(x.data.reshape(n, c, p).transpose(0, 2, 1))
     tapes = []
-    for fwd, rev in layers:
-        f_states, f_tape = _gru_direction(inputs, fwd, ones, reverse=False)
-        r_states, r_tape = _gru_direction(inputs, rev, ones, reverse=True)
-        inputs = [np.concatenate([f, r], axis=1) for f, r in zip(f_states, r_states)]
-        tapes.append((f_tape, r_tape))
+    for gates in layers:
+        states, tape = _gru_layer(inputs, gates)
+        inputs = np.concatenate([states[0], states[1, ::-1]], axis=2)
+        tapes.append(tape)
     weights = np.full(n, 1.0 / n).astype(dtype)
-    rows = np.concatenate([s.reshape(1, p * size_in) for s in inputs], axis=0)
+    rows = inputs.reshape(n, p * size_in)
     out = _exact_weighted_sum_data(rows, weights).reshape(p, size_in).T.reshape(size_in, gh, gw)
 
     def rule(g):
         g_mean = np.ascontiguousarray(g.reshape(size_in, p).T).reshape(p * size_in)
-        g_rows = np.outer(weights, g_mean).astype(dtype)
-        outs = [g_rows[t].reshape(p, size_in) for t in range(n)]
+        outs = np.outer(weights, g_mean).astype(dtype).reshape(n, p, size_in)
         for li in range(len(layers) - 1, -1, -1):
-            (fwd, rev), (f_tape, r_tape) = layers[li], tapes[li]
-            hidden = fwd[0].shape[0]
-            lower = li < len(layers) - 1
-            f_parts = _gru_direction_backward(f_tape, fwd, [o[:, :hidden] for o in outs],
-                                              out_first=lower)
-            r_parts = _gru_direction_backward(r_tape, rev, [o[:, hidden:] for o in outs],
-                                              out_first=True)
+            hidden = layers[li][0][0].shape[0]
+            # per direction, in processing order
+            outs = np.array([outs[:, :, :hidden], outs[::-1, :, hidden:]])
+            # the graph adds a state's gradient from above first, except in
+            # the last layer's forward direction and at t = 0
+            d_cand, d_stacked = _gru_layer_backward(tapes[li], layers[li], outs,
+                                                    out_first=(li < len(layers) - 1, True))
             if li == 0 and not x.requires_grad:
                 return
             # the graph sums a layer input's four terms in this order
-            outs = [((cf + sf) + cr) + sr if t else ((cr + sr) + cf) + sf
-                    for t, ((cf, sf), (cr, sr)) in enumerate(zip(f_parts, r_parts))]
+            cf, sf, cr, sr = d_cand[:, 0], d_stacked[:, 0], d_cand[::-1, 1], d_stacked[::-1, 1]
+            outs = ((cf + sf) + cr) + sr
+            outs[0] = ((cr[0] + sr[0]) + cf[0]) + sf[0]
         # + 0.0 as the graph's gather scatter-adds into zeros: -0.0 becomes +0.0
-        d_seq = np.stack(outs) + 0.0
+        d_seq = outs + 0.0
         x.accumulate(np.ascontiguousarray(d_seq.transpose(0, 2, 1)).reshape(x.shape))
 
     parents = (x,) + tuple(w for fwd, rev in layers for w in fwd + rev)
     return _node(out, "gru_encode", parents, rule)
 
 
-def _gru_direction(inputs, gates, ones, reverse):
-    """One direction of one ``gru_encode`` layer.
+def _gru_layer(inputs, gates):
+    """Both directions of one ``gru_encode`` layer in lockstep.
 
-    Returns the states aligned to input order and the tape of each step's
-    operands, in processing order.
+    Step s runs the forward direction at t = s and the reverse direction at
+    t = n-1-s on a leading direction axis; the z and r gates share one more
+    leading axis. Each batched matmul is one GEMM per (direction, gate) with
+    the operand layout of the per-step chain, so every product rounds as
+    there. Returns the states, (2, steps, positions, hidden), and the tape,
+    both in processing order.
     """
-    wz, wr, wh = (w.data.T for w in gates)
-    h = np.zeros((ones.shape[0], wz.shape[1]), dtype=ones.dtype)
-    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
-    states = [None] * len(inputs)
-    tape = []
-    for t in order:
-        stacked = np.concatenate([h, inputs[t], ones], axis=1)
-        z = _sigmoid_data(stacked @ wz)
-        r = _sigmoid_data(stacked @ wr)
-        cand_in = np.concatenate([r * h, inputs[t], ones], axis=1)
-        cand = np.tanh(cand_in @ wh)
+    n, p, width = inputs.shape
+    dtype = inputs.dtype
+    w = np.array([[g.data for g in direction] for direction in gates])
+    w_zr, w_h = w[:, :2].swapaxes(2, 3), w[:, 2].swapaxes(1, 2)
+    hidden = w.shape[2]
+    # each step's [hidden, input, 1] operands, (steps, 2, positions, k):
+    # the input and constant columns are filled here, the hidden ones per step
+    stacked = np.empty((n, 2, p, hidden + width + 1), dtype=dtype)
+    stacked[:, 0, :, hidden:-1] = inputs
+    stacked[:, 1, :, hidden:-1] = inputs[::-1]
+    stacked[..., -1] = 1.0
+    stacked[0, :, :, :hidden] = 0.0
+    cand_in = stacked.copy()
+    states = np.empty((2, n, p, hidden), dtype=dtype)
+    steps = []
+    for s in range(n):
+        h = stacked[s, :, :, :hidden]
+        zr = _sigmoid_data(stacked[s][:, None] @ w_zr)
+        z, r = zr[:, 0], zr[:, 1]
+        np.multiply(r, h, out=cand_in[s, :, :, :hidden])
+        cand = np.tanh(cand_in[s] @ w_h)
         keep = 1.0 - z
-        tape.append((t, h, stacked, z, r, cand_in, cand, keep))
-        h = keep * h + z * cand
-        states[t] = h
-    return states, tape
+        steps.append((zr, cand, keep))
+        states[:, s] = keep * h + z * cand
+        if s + 1 < n:
+            stacked[s + 1, :, :, :hidden] = states[:, s]
+    return states, (w, stacked, cand_in, steps)
 
 
-def _gru_direction_backward(tape, gates, outs, out_first):
-    """Backpropagate one direction through time; ``outs[t]`` is the
-    gradient reaching step t's state from above.
+def _gru_layer_backward(tape, gates, outs, out_first):
+    """Backpropagate one lockstep layer through time.
 
-    Accumulates the gate gradients and returns, aligned to input order, the
-    (candidate cat, stacked cat) terms of each step's input gradient. A
+    ``outs[d, s]`` is the gradient reaching direction d's state at
+    processing step s from above. Accumulates the gate gradients and
+    returns the (candidate cat, stacked cat) terms of each step's input
+    gradient, (steps, 2, positions, input) each, in processing order. A
     state's own gradient sums its terms from the next processed step
-    (reset product, keep product, stacked cat) and ``outs[t]``; the graph
-    adds ``outs[t]`` first when ``out_first`` holds and t >= 1, last
-    otherwise.
+    (reset product, keep product, stacked cat) and ``outs``; the graph adds
+    ``outs`` first when ``out_first[d]`` holds and t >= 1, last otherwise.
     """
-    wz, wr, wh = (w.data for w in gates)
-    hidden = wz.shape[0]
-    width = tape[0][2].shape[1] - 1
-    gate_sums = [None, None, None]
-    parts = [None] * len(outs)
+    w, stacked, cand_in, steps = tape
+    n = len(steps)
+    hidden = w.shape[2]
+    w_zr, w_h = w[:, :2], w[:, 2]
+    d_cand_in = np.empty_like(cand_in)
+    d_stacked = np.empty_like(stacked)
+    sum_zr = sum_h = None
     later = None
-    for t, h, stacked, z, r, cand_in, cand, keep in reversed(tape):
-        g = outs[t]
+    for s in range(n - 1, -1, -1):
+        zr, cand, keep = steps[s]
+        z, r = zr[:, 0], zr[:, 1]
+        h = stacked[s, :, :, :hidden]
+        g = outs[:, s]
         if later is not None:
-            rh, m1, st = later
-            g = ((g + rh) + m1) + st if out_first and t >= 1 else ((rh + m1) + st) + g
+            g = _state_grad(g, later, (out_first[0] and s >= 1,
+                                       out_first[1] and n - 1 - s >= 1))
         d_cand = g * z
-        d_z = g * cand - g * h
         d_mh = d_cand * (1.0 - cand * cand)
-        d_cand_in = d_mh @ wh
-        d_rh = d_cand_in[:, :hidden]
-        d_mr = d_rh * h * r * (1.0 - r)
-        d_mz = d_z * z * (1.0 - z)
-        d_stacked = d_mz @ wz + d_mr @ wr
-        for i, (a, d) in enumerate(((stacked, d_mz), (stacked, d_mr), (cand_in, d_mh))):
-            term = a.T @ d
-            if gate_sums[i] is None:
-                gate_sums[i] = term
-            else:
-                gate_sums[i] += term
-        parts[t] = (d_cand_in[:, hidden:width], d_stacked[:, hidden:width])
-        later = (d_rh * r, g * keep, d_stacked[:, :hidden])
-    for w, total in zip(gates, gate_sums):
-        w.accumulate(np.ascontiguousarray(total.T))
-    return parts
+        np.matmul(d_mh, w_h, out=d_cand_in[s])
+        d_rh = d_cand_in[s, :, :, :hidden]
+        # d_z * z * (1 - z) and d_rh * h * r * (1 - r) side by side
+        d_zr = np.empty_like(zr)
+        np.subtract(g * cand, g * h, out=d_zr[:, 0])
+        np.multiply(d_rh, h, out=d_zr[:, 1])
+        d_zr *= zr
+        d_zr *= 1.0 - zr
+        d_stacked_zr = d_zr @ w_zr
+        np.add(d_stacked_zr[:, 0], d_stacked_zr[:, 1], out=d_stacked[s])
+        term_zr = stacked[s].swapaxes(1, 2)[:, None] @ d_zr
+        term_h = cand_in[s].swapaxes(1, 2) @ d_mh
+        if sum_zr is None:
+            sum_zr, sum_h = term_zr, term_h
+        else:
+            sum_zr += term_zr
+            sum_h += term_h
+        later = (d_rh * r, g * keep, d_stacked[s, :, :, :hidden])
+    for d, (wz, wr, wh) in enumerate(gates):
+        for param, total in ((wz, sum_zr[d, 0]), (wr, sum_zr[d, 1]), (wh, sum_h[d])):
+            param.accumulate(np.ascontiguousarray(total.T))
+    return d_cand_in[..., hidden:-1], d_stacked[..., hidden:-1]
+
+
+def _state_grad(o, later, first):
+    """Sum a state's gradient terms in the graph's order: ``o`` first where
+    ``first[d]`` holds, last otherwise; directions that differ sum apart."""
+    rh, m1, st = later
+    if first[0] == first[1]:
+        return ((o + rh) + m1) + st if first[0] else ((rh + m1) + st) + o
+    g = np.empty_like(o)
+    for d in range(2):
+        g[d] = _state_grad(o[d], (rh[d], m1[d], st[d]), (first[d],) * 2)
+    return g
 
 
 def frame_norm(x, gain, bias, eps=1e-5):
@@ -679,22 +717,25 @@ def frame_norm(x, gain, bias, eps=1e-5):
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeMismatch("frame_norm", gain.shape, (c,), "per-channel gain/shift")
 
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
+    # np.add.reduce / count is what ndarray.mean computes, without its
+    # Python-level wrapper
+    count = x.shape[2] * x.shape[3]
+    mu = np.add.reduce(x.data, axis=(2, 3), keepdims=True) / count
     xc = x.data - mu
-    var = (xc * xc).mean(axis=(2, 3), keepdims=True)
+    var = np.add.reduce(xc * xc, axis=(2, 3), keepdims=True) / count
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
     xhat = xc * inv
     out = gain.data.reshape(1, c, 1, 1) * xhat + bias.data.reshape(1, c, 1, 1)
 
     def rule(g):
         if gain.requires_grad:
-            gain.accumulate((g * xhat).sum(axis=(0, 2, 3)))
+            gain.accumulate(np.add.reduce(g * xhat, axis=(0, 2, 3)))
         if bias.requires_grad:
-            bias.accumulate(g.sum(axis=(0, 2, 3)))
+            bias.accumulate(np.add.reduce(g, axis=(0, 2, 3)))
         if x.requires_grad:
             gx = g * gain.data.reshape(1, c, 1, 1)
-            gx_mean = gx.mean(axis=(2, 3), keepdims=True)
-            gxxhat_mean = (gx * xhat).mean(axis=(2, 3), keepdims=True)
+            gx_mean = np.add.reduce(gx, axis=(2, 3), keepdims=True) / count
+            gxxhat_mean = np.add.reduce(gx * xhat, axis=(2, 3), keepdims=True) / count
             x.accumulate(inv * (gx - gx_mean - xhat * gxxhat_mean))
 
     return _node(out, "frame_norm", (x, gain, bias), rule)
@@ -805,14 +846,16 @@ def _spread(g, axis, keepdims, shape):
     """Broadcast a reduced gradient back over the reduced axes."""
     if axis is not None and not keepdims:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(ax % len(shape) for ax in axes)
-        g = np.expand_dims(g, axes)
-    return np.broadcast_to(g, shape).astype(g.dtype, copy=True)
+        axes = {ax % len(shape) for ax in axes}
+        g = g.reshape(tuple(1 if i in axes else n for i, n in enumerate(shape)))
+    out = np.empty(shape, dtype=g.dtype)
+    out[...] = g
+    return out
 
 
 def sum_(a, axis=None, keepdims=False):
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
 
     def rule(g):
         a.accumulate(_spread(g, axis, keepdims, a.shape))

@@ -234,7 +234,8 @@ def make_variant(name, **params):
 
     Parameterized policies take their argument after a colon, fused onto the
     name, or as a keyword (``length`` for va-norm, ``count`` for va-random;
-    the count defaults to 10 when omitted). A keyword wins over the name.
+    the count defaults to 10 when omitted). A keyword that contradicts the
+    name raises ``ValueError``.
     """
     name = str(name)
     if ":" in name:
@@ -246,11 +247,11 @@ def make_variant(name, **params):
         key = _VARIANTS[name][1] if name in _VARIANTS else None
         if key is None:
             raise ValueError(f"variant {name!r} takes no parameter")
-        params.setdefault(key, arg)
+        _set_named_parameter(params, key, arg, name)
     elif name not in _VARIANTS:
         for stem, (_, key, _) in _VARIANTS.items():
             if key and name.startswith(stem) and name[len(stem):].isdigit():
-                params.setdefault(key, int(name[len(stem):]))
+                _set_named_parameter(params, key, int(name[len(stem):]), name)
                 name = stem
                 break
     if name not in _VARIANTS:
@@ -263,3 +264,10 @@ def make_variant(name, **params):
     if key not in params:
         raise ValueError(f"{name} needs a {key}, e.g. '{name}:16'")
     return cls(params[key])
+
+
+def _set_named_parameter(params, key, value, spelling):
+    if key in params and params[key] != value:
+        raise ValueError(f"variant {spelling!r} gives {key}={value} but the "
+                         f"keyword gives {key}={params[key]}")
+    params[key] = value

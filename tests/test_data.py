@@ -4,6 +4,7 @@ import pytest
 from akmnet import RngStream
 from akmnet.data import (
     DataError,
+    Manifest,
     ManifestRow,
     SynthSpec,
     bilinear_resize,
@@ -13,6 +14,7 @@ from akmnet.data import (
     load_truth,
     read_clip,
     read_pgm,
+    save_manifest,
     save_packed,
     save_synth_dataset,
     synth_generate,
@@ -78,6 +80,15 @@ class TestManifest:
                            f"c2,s1,positive,b,,,,{rate}\n")
         with pytest.raises(DataError, match="line 3: framerate"):
             load_manifest(p)
+
+    @pytest.mark.parametrize("rate, text", [(60.0, "60"), (200, "200"),
+                                            (30000 / 1001, repr(30000 / 1001)),
+                                            (12.5, "12.5")])
+    def test_framerate_round_trips(self, tmp_path, rate, text):
+        row = ManifestRow("c1", "s1", "positive", "a", None, None, None, rate)
+        save_manifest(Manifest(rows=[row], base_dir=tmp_path), tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text().splitlines()[1].endswith("," + text)
+        assert load_manifest(tmp_path / "m.csv").rows[0].framerate == rate
 
     def test_custom_label_map(self, tmp_path):
         p = write_manifest(tmp_path / "m.csv", "c1,s1,blue,a,,,,\n")

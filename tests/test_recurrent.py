@@ -234,33 +234,37 @@ def per_op_encode(feats, gru_params):
 
 
 class TestFusedEncodeBitIdentity:
-    # dtype, layers, steps, grid, hidden, zeroed frame, feature grad,
-    # gradients already present, scale of the upstream gradient (0 makes
-    # every gradient a signed zero)
+    # dtype, layers, steps, grid, channels, hidden, zeroed frame, feature
+    # grad, gradients already present, scale of the upstream gradient (0
+    # makes every gradient a signed zero)
     CASES = [
-        (np.float32, 2, 7, (2, 2), 8, None, True, False, 1.0),
-        (np.float64, 2, 7, (2, 2), 8, None, True, False, 1.0),
-        (np.float32, 1, 5, (1, 3), 4, None, True, False, 1.0),
-        (np.float64, 3, 6, (2, 1), 3, None, True, False, 1.0),
-        (np.float32, 3, 9, (3, 3), 5, None, True, False, 1.0),
-        (np.float32, 2, 1, (2, 2), 6, None, True, False, 1.0),
-        (np.float64, 1, 1, (1, 1), 1, None, True, False, 1.0),
-        (np.float64, 2, 9, (1, 2), 1, None, True, False, 1.0),
-        (np.float32, 2, 8, (2, 2), 8, 3, True, False, 1.0),
-        (np.float64, 2, 6, (2, 2), 4, 0, True, False, 1.0),
-        (np.float32, 2, 6, (2, 2), 8, None, False, False, 1.0),
-        (np.float64, 1, 4, (1, 2), 3, None, False, False, 1.0),
-        (np.float32, 2, 6, (2, 2), 8, None, True, True, 1.0),
-        (np.float64, 3, 5, (1, 2), 2, 4, True, True, 1.0),
-        (np.float32, 2, 5, (2, 2), 4, None, True, False, 0.0),
+        (np.float32, 2, 7, (2, 2), 3, 8, None, True, False, 1.0),
+        (np.float64, 2, 7, (2, 2), 3, 8, None, True, False, 1.0),
+        (np.float32, 1, 5, (1, 3), 3, 4, None, True, False, 1.0),
+        (np.float64, 3, 6, (2, 1), 3, 3, None, True, False, 1.0),
+        (np.float32, 3, 9, (3, 3), 3, 5, None, True, False, 1.0),
+        (np.float32, 2, 1, (2, 2), 3, 6, None, True, False, 1.0),
+        (np.float64, 1, 1, (1, 1), 3, 1, None, True, False, 1.0),
+        (np.float64, 2, 9, (1, 2), 3, 1, None, True, False, 1.0),
+        (np.float32, 2, 8, (2, 2), 3, 8, 3, True, False, 1.0),
+        (np.float64, 2, 6, (2, 2), 3, 4, 0, True, False, 1.0),
+        (np.float32, 2, 6, (2, 2), 3, 8, None, False, False, 1.0),
+        (np.float64, 1, 4, (1, 2), 3, 3, None, False, False, 1.0),
+        (np.float32, 2, 6, (2, 2), 3, 8, None, True, True, 1.0),
+        (np.float64, 3, 5, (1, 2), 3, 2, 4, True, True, 1.0),
+        (np.float32, 2, 5, (2, 2), 3, 4, None, True, False, 0.0),
+        (np.float32, 2, 2, (2, 2), 1, 3, None, True, False, 1.0),
+        # the recovery, desk and paper presets' GRU shapes
+        (np.float32, 2, 14, (2, 2), 16, 8, None, True, False, 1.0),
+        (np.float32, 2, 32, (2, 2), 64, 32, None, True, False, 1.0),
+        (np.float32, 2, 3, (4, 4), 512, 32, None, True, False, 1.0),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_fused_matches_per_op_graph(self, case):
-        dtype, layers, steps, (gh, gw), hidden, zeroed, feat_grad, preset, scale = \
-            self.CASES[case]
+        (dtype, layers, steps, (gh, gw), channels, hidden, zeroed, feat_grad,
+         preset, scale) = self.CASES[case]
         rng = np.random.default_rng(100 + case)
-        channels = 3
         gp = random_gru(channels, hidden, layers, seed=200 + case, dtype=dtype)
         x = rng.normal(size=(steps, channels, gh, gw))
         if zeroed is not None:

@@ -180,6 +180,98 @@ class TestBackward:
             T.add(x, x).backward()
 
 
+def padded_conv_forms(x, w, b, g, stride, pad):
+    """conv2d's output and input gradient, padding with np.pad."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    w_mat = w.reshape(cout, cin * kh * kw)
+    out = np.matmul(w_mat, cols.reshape(n, cin * kh * kw, ho * wo)).reshape(n, cout, ho, wo)
+    dcols = np.matmul(w_mat.T, g.reshape(n, cout, ho * wo)).reshape(n, cin, kh, kw, ho, wo)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
+    return out + b.reshape(1, cout, 1, 1), dxp[:, :, pad:pad + h, pad:pad + wd]
+
+
+def mean_frame_norm_forms(x, gain, bias, g, eps=1e-5):
+    """frame_norm's output and gradients, written with ndarray.mean and .sum."""
+    c = x.shape[1]
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=(2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = xc * inv
+    out = gain.reshape(1, c, 1, 1) * xhat + bias.reshape(1, c, 1, 1)
+    gx = g * gain.reshape(1, c, 1, 1)
+    dx = inv * (gx - gx.mean(axis=(2, 3), keepdims=True)
+                - xhat * (gx * xhat).mean(axis=(2, 3), keepdims=True))
+    return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+class TestWrapperFreeForms:
+    """conv2d, frame_norm and global_avg_pool skip np.pad, ndarray.mean and
+    ndarray.sum; their bytes must equal those forms'."""
+
+    SHAPES = [(3, 4, 5, 7), (2, 3, 9, 6), (1, 2, 11, 4)]
+
+    @staticmethod
+    def backprop(out, rng):
+        upstream = rng.normal(3.0, 10.0, size=out.shape).astype(out.dtype)
+        T.sum_(T.mul(out, T.constant(upstream, dtype=out.dtype))).backward()
+        return upstream
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pad", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_matches_np_pad(self, dtype, pad, stride):
+        rng = np.random.default_rng(40 + pad + 3 * stride)
+        for n, cin, h, wd in self.SHAPES:
+            x = leaf(rng.normal(size=(n, cin, h, wd)), dtype=dtype)
+            w = leaf(rng.normal(size=(5, cin, 3, 3)), dtype=dtype)
+            b = leaf(rng.normal(size=5), dtype=dtype)
+            out = T.conv2d(x, w, b, stride=stride, padding=pad)
+            upstream = self.backprop(out, rng)
+            ref_out, ref_dx = padded_conv_forms(x.data, w.data, b.data, upstream,
+                                                stride, pad)
+            assert out.data.tobytes() == ref_out.tobytes()
+            assert x.grad.tobytes() == ref_dx.tobytes()
+            assert b.grad.tobytes() == upstream.sum(axis=(0, 2, 3)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frame_norm_matches_mean(self, dtype):
+        rng = np.random.default_rng(50)
+        for shape in self.SHAPES:
+            x = leaf(rng.normal(2.0, 5.0, size=shape), dtype=dtype)
+            gain = leaf(rng.normal(size=shape[1]), dtype=dtype)
+            bias = leaf(rng.normal(size=shape[1]), dtype=dtype)
+            out = T.frame_norm(x, gain, bias)
+            upstream = self.backprop(out, rng)
+            forms = mean_frame_norm_forms(x.data, gain.data, bias.data, upstream)
+            for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), forms):
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_global_avg_pool_matches_mean(self, dtype):
+        rng = np.random.default_rng(60)
+        for shape in self.SHAPES:
+            x = leaf(rng.normal(2.0, 5.0, size=shape), dtype=dtype)
+            out = T.global_avg_pool(x)
+            upstream = self.backprop(out, rng)
+            m = shape[2] * shape[3]
+            spread = np.broadcast_to((upstream / np.asarray(m, dtype=dtype))[:, :, None, None],
+                                     shape)
+            assert out.data.tobytes() == x.data.mean(axis=(2, 3), dtype=dtype).tobytes()
+            assert x.grad.tobytes() == spread.astype(dtype).tobytes()
+
+
 class TestShapeErrors:
     def test_add_mismatch_names_op_and_shapes(self):
         with pytest.raises(ShapeMismatch, match=r"add.*\(2,\).*\(3,\)"):

@@ -44,6 +44,17 @@ class TestFactory:
             make_variant("va-norm")
         assert make_variant("va-random").count == 10
 
+    @pytest.mark.parametrize("spelling", ["va-norm:16", "va-norm16"])
+    def test_conflicting_keyword_names_both_values(self, spelling):
+        with pytest.raises(ValueError, match="length=16.*length=8"):
+            make_variant(spelling, length=8)
+        assert make_variant(spelling, length=16).length == 16
+
+    @pytest.mark.parametrize("spelling", ["va-random:5", "va-random5"])
+    def test_conflicting_count_rejected(self, spelling):
+        with pytest.raises(ValueError, match="count=5.*count=10"):
+            make_variant(spelling, count=10)
+
     def test_parameter_on_plain_variant_rejected(self):
         with pytest.raises(ValueError, match="takes no parameter"):
             make_variant("s123:4")
