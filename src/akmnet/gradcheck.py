@@ -191,11 +191,17 @@ def standard_primitive_cases():
         c = weights(rng, (3, 2))
         return (lambda: T.sum_(T.mul(T.affine(x, w, b), c))), [x, w, b], ["x", "w", "b"]
 
-    def build_conv(rng):
-        x, w, b = leaf(rng, (2, 2, 5, 5)), leaf(rng, (3, 2, 3, 3)), leaf(rng, (3,))
-        c = weights(rng, (2, 3, 3, 3))
-        f = lambda: T.sum_(T.mul(T.conv2d(x, w, b, stride=2, padding=1), c))
-        return f, [x, w, b], ["x", "w", "b"]
+    def conv(x_shape, stride, out_shape):
+        # conv2d lowers planes up to T.NARROW_PLANE wide one way, wider ones
+        # another; each case's output width picks one
+        def build(rng):
+            x, w, b = leaf(rng, x_shape), leaf(rng, (3, 2, 3, 3)), leaf(rng, (3,))
+            c = weights(rng, out_shape)
+            f = lambda: T.sum_(T.mul(T.conv2d(x, w, b, stride=stride, padding=1), c))
+            return f, [x, w, b], ["x", "w", "b"]
+        return build
+
+    side = T.NARROW_PLANE + 1
 
     def build_relu(rng):
         x = Tensor(np.sign(rng.normal((3, 4), dtype=np.float64))
@@ -269,7 +275,8 @@ def standard_primitive_cases():
         case("div", binary(T.div)),
         case("matmul", build_matmul),
         case("affine", build_affine),
-        case("conv2d", build_conv),
+        case("conv2d", conv((2, 2, 5, 5), 2, (2, 3, 3, 3))),
+        case("conv2d_wide", conv((1, 2, side, side), 1, (1, 3, side, side))),
         case("relu", build_relu),
         case("sigmoid", unary(T.sigmoid)),
         case("tanh", unary(T.tanh)),

@@ -1,5 +1,7 @@
 """Shape contracts, purity and gradients of the per-frame extractor."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from akmnet.backbone import (Backbone, BackboneConfig, _stage_strides, desk_back
 from akmnet.gradcheck import grad_check
 from akmnet.rng import RngStream
 from akmnet.tensor import Tensor
-from akmnet.weights import WeightFileError, load_weights, save_weights
+from akmnet.weights import (WeightFileError, load_weights, manifest_bytes, manifest_entries,
+                            save_weights)
 
 
 def tiny_config():
@@ -144,6 +147,36 @@ class TestWeightFile:
         big = Backbone(desk_backbone(), RngStream(13))
         with pytest.raises(WeightFileError, match="manifest mismatch"):
             load_weights(path, big.parameters())
+
+    def test_f64_model_round_trips_bit_for_bit(self, tmp_path):
+        bb = Backbone(tiny_config(), RngStream(15), dtype=np.float64)
+        for _, p in bb.parameters():
+            p.data[...] += np.random.default_rng(16).normal(size=p.shape) * 1e-9
+        path = tmp_path / "bb.akmw"
+        save_weights(path, bb.parameters())
+        assert path.read_bytes()[4:11] == struct.pack("<I", 2) + b"<f8"
+
+        other = Backbone(tiny_config(), RngStream(17), dtype=np.float64)
+        load_weights(path, other.parameters())
+        for (_, a), (_, b) in zip(bb.parameters(), other.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        narrow = Backbone(tiny_config(), RngStream(18))
+        with pytest.raises(WeightFileError, match="round"):
+            load_weights(path, narrow.parameters())
+
+    def test_f32_model_writes_and_reads_version_1(self, tmp_path):
+        bb = Backbone(tiny_config(), RngStream(19))
+        v1 = [b"AKMW", struct.pack("<I", 1), manifest_bytes(manifest_entries(bb.parameters()))]
+        v1 += [p.data.astype("<f4").tobytes() for _, p in bb.parameters()]
+        path = tmp_path / "bb.akmw"
+        save_weights(path, bb.parameters())
+        assert path.read_bytes() == b"".join(v1)
+
+        for dtype in (np.float32, np.float64):
+            other = Backbone(tiny_config(), RngStream(20), dtype=dtype)
+            load_weights(path, other.parameters())
+            for (_, a), (_, b) in zip(bb.parameters(), other.parameters()):
+                assert np.array_equal(a.data, b.data)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.akmw"

@@ -311,6 +311,9 @@ class TestGradcheckCommand:
                    "conv2d") == 1
         out = capsys.readouterr().out
         assert "gradcheck FAILED" in out and "conv2d" in out
+        # one case per conv2d lowering, narrow and wide planes
+        failed = out.splitlines()[-1].removeprefix("gradcheck FAILED: ").split(", ")
+        assert {"primitive conv2d", "primitive conv2d_wide"} <= set(failed)
 
     def test_injected_gru_fault_names_primitive_and_group(self, capsys):
         assert run("gradcheck", "--seed", "1", "--inject-fault",

@@ -181,7 +181,8 @@ class TestBackward:
 
 
 def padded_conv_forms(x, w, b, g, stride, pad):
-    """conv2d's output and input gradient, padding with np.pad."""
+    """conv2d's output and x, w and b gradients, padded with np.pad and
+    lowered one kernel offset at a time."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     ho = (h + 2 * pad - kh) // stride + 1
@@ -191,14 +192,18 @@ def padded_conv_forms(x, w, b, g, stride, pad):
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    cols_mat = cols.reshape(n, cin * kh * kw, ho * wo)
     w_mat = w.reshape(cout, cin * kh * kw)
-    out = np.matmul(w_mat, cols.reshape(n, cin * kh * kw, ho * wo)).reshape(n, cout, ho, wo)
-    dcols = np.matmul(w_mat.T, g.reshape(n, cout, ho * wo)).reshape(n, cin, kh, kw, ho, wo)
+    g_mat = g.reshape(n, cout, ho * wo)
+    out = np.matmul(w_mat, cols_mat).reshape(n, cout, ho, wo)
+    dw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w_mat.T, g_mat).reshape(n, cin, kh, kw, ho, wo)
     dxp = np.zeros_like(xp)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
-    return out + b.reshape(1, cout, 1, 1), dxp[:, :, pad:pad + h, pad:pad + wd]
+    return (out + b.reshape(1, cout, 1, 1), dxp[:, :, pad:pad + h, pad:pad + wd], dw,
+            g.sum(axis=(0, 2, 3)))
 
 
 def mean_frame_norm_forms(x, gain, bias, g, eps=1e-5):
@@ -216,6 +221,59 @@ def mean_frame_norm_forms(x, gain, bias, g, eps=1e-5):
     return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
 
+def backprop(out, upstream):
+    T.sum_(T.mul(out, T.constant(upstream, dtype=out.dtype))).backward()
+    return upstream
+
+
+class TestConvLowering:
+    """conv2d's gathered patches and frames-innermost patch-gradient scatter
+    keep every bit of the per-offset lowering, on both sides of
+    NARROW_PLANE."""
+
+    # (frames, channels, height, width): frames x channels from 2 to 512;
+    # each kernel, stride and padding gives output planes 1 to 11 wide from
+    # the first and last shapes and 13 to 34 wide from the third
+    SHAPES = [(1, 2, 6, 7), (3, 4, 9, 13), (2, 3, 11, 30), (8, 64, 5, 6)]
+
+    @staticmethod
+    def conv_case(rng, shape, kernel, stride, pad, dtype):
+        x = rng.normal(size=shape)
+        x[:, :, ::3] = -0.0
+        x = leaf(x, dtype=dtype)
+        w = leaf(rng.normal(size=(5, shape[1], kernel, kernel)), dtype=dtype)
+        b = leaf(rng.normal(size=5), dtype=dtype)
+        out = T.conv2d(x, w, b, stride=stride, padding=pad)
+        upstream = rng.normal(3.0, 10.0, size=out.shape).astype(dtype)
+        upstream[:, 1] = -0.0
+        upstream[..., ::2] = -0.0
+        backprop(out, upstream)
+        ref = padded_conv_forms(x.data, w.data, b.data, upstream, stride, pad)
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return out.shape[3]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_per_offset_lowering(self, kernel, stride, pad, dtype):
+        rng = np.random.default_rng(40 + kernel + 3 * pad + 9 * stride)
+        widths = [self.conv_case(rng, shape, kernel, stride, pad, dtype)
+                  for shape in self.SHAPES]
+        assert min(widths) <= T.NARROW_PLANE < max(widths)
+
+    def test_frame_counts_share_one_patch_index(self):
+        rng = np.random.default_rng(41)
+        before = set(T._PATCH_INDEX)
+        for frames in (2, 7):
+            self.conv_case(rng, (frames, 3, 7, 7), 3, 1, 1, np.float32)
+        added = set(T._PATCH_INDEX) - before
+        assert added <= {(3, 9, 9, 3, 3, 1, 7, 7)}
+        assert not T._PATCH_INDEX[(3, 9, 9, 3, 3, 1, 7, 7)].flags.writeable
+
+
 class TestWrapperFreeForms:
     """conv2d, frame_norm and global_avg_pool skip np.pad, ndarray.mean and
     ndarray.sum; their bytes must equal those forms'."""
@@ -224,9 +282,7 @@ class TestWrapperFreeForms:
 
     @staticmethod
     def backprop(out, rng):
-        upstream = rng.normal(3.0, 10.0, size=out.shape).astype(out.dtype)
-        T.sum_(T.mul(out, T.constant(upstream, dtype=out.dtype))).backward()
-        return upstream
+        return backprop(out, rng.normal(3.0, 10.0, size=out.shape).astype(out.dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pad", [1, 2])
@@ -239,11 +295,9 @@ class TestWrapperFreeForms:
             b = leaf(rng.normal(size=5), dtype=dtype)
             out = T.conv2d(x, w, b, stride=stride, padding=pad)
             upstream = self.backprop(out, rng)
-            ref_out, ref_dx = padded_conv_forms(x.data, w.data, b.data, upstream,
-                                                stride, pad)
-            assert out.data.tobytes() == ref_out.tobytes()
-            assert x.grad.tobytes() == ref_dx.tobytes()
-            assert b.grad.tobytes() == upstream.sum(axis=(0, 2, 3)).tobytes()
+            forms = padded_conv_forms(x.data, w.data, b.data, upstream, stride, pad)
+            for got, ref in zip((out.data, x.grad, w.grad, b.grad), forms):
+                assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_frame_norm_matches_mean(self, dtype):
