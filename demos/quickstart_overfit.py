@@ -9,7 +9,7 @@ was. Runs in well under a minute on one CPU core.
 import logging
 
 from akmnet.data import SynthSpec, synth_generate
-from akmnet.evaluate import evaluate_fold
+from akmnet.evaluate import evaluate_fold, record_clip
 from akmnet.model import build_model
 from akmnet.train import TrainConfig, train
 
@@ -34,12 +34,12 @@ def main():
 
     print("\nmined frames vs planted window:")
     for clip in dataset.clips:
-        result = model.forward(clip.frames)
+        record = record_clip(model, clip)
         start, length = dataset.truth[clip.clip_id]
         window = set(range(start, start + length))
-        hits = window.intersection(result.selection.indices)
+        hits = window.intersection(record.indices)
         print(f"  {clip.clip_id}: signal {sorted(window)}  "
-              f"kept {list(result.selection.indices)}  "
+              f"kept {list(record.indices)}  "
               f"overlap {len(hits)}/{length}")
 
 

@@ -4,13 +4,15 @@ Subcommands: train, eval, loso, mine, gradcheck, synth, apex, ablate.
 Every run that writes artifacts also writes a resolved-config snapshot that
 fully determines the run given the dataset bytes. Errors leave one line on
 standard error; exit codes: 0 success, 1 check failure, 2 usage error,
-3 artifact mismatch, 4 runtime divergence.
+3 artifact mismatch, 4 runtime divergence. A reader that closes standard
+output early (``| head``) ends the run with 1 and no traceback.
 """
 
 import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -576,7 +578,15 @@ def main(argv=None):
     except SystemExit as e:   # argparse usage errors already printed a line
         return int(e.code) if e.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``akmnet gradcheck | head``): drop the
+        # rest of the output, including the flush at interpreter exit, and
+        # exit 1 without a traceback, as Python's own SIGPIPE advice does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import RngStream
+from .tensor import no_grad
 from .train import TrainConfig, train
 
 # frame-index difference to milliseconds at 200 frames per second
@@ -76,7 +77,10 @@ class LosoReport:
 
 
 def record_clip(model, clip, rng=None):
-    result = model.forward(clip.frames, training=False, rng=rng)
+    """Infer one clip. Nothing backpropagates a record, so the forward builds
+    no graph; its values are the same bits as with one."""
+    with no_grad():
+        result = model.forward(clip.frames, training=False, rng=rng)
     sel = result.selection
     return ClipRecord(clip_id=clip.clip_id, subject_id=clip.subject_id,
                       label=clip.label, prediction=result.prediction,

@@ -8,8 +8,13 @@ gradients into every reachable leaf that requires them.
 
 Float32 is the working precision; float64 is available for gradient checking,
 where central differences need the extra headroom. Ops never change dtype.
+
+Inside ``no_grad()`` ops compute the same values but record nothing: no
+parents, no backward rule, so every buffer a rule would hold is freed as soon
+as the op returns. Inference runs this way.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -39,8 +44,8 @@ class Tensor:
 
     Leaves are created directly; interior nodes are created by the ops in
     this module. ``grad`` is lazily allocated and always matches ``data`` in
-    shape and dtype. Repeated backward passes accumulate (callers zero
-    between optimizer steps).
+    shape and dtype. Repeated backward passes accumulate into leaves (callers
+    zero between optimizer steps).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_rule")
@@ -159,11 +164,28 @@ class Tensor:
         backward(self)
 
 
+# read by _node; switched off only through no_grad()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block; the previous mode comes back on exit,
+    also after an exception, so blocks nest."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data, op, parents, rule):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out.op = op
     if out.requires_grad:
         out.parents = tuple(parents)
@@ -211,14 +233,20 @@ def _topo_order(root):
 def backward(loss):
     """Backpropagate from a scalar loss, accumulating into leaf gradients.
 
-    Gradients add onto whatever is already stored, which is what per-clip
-    gradient accumulation over a mini-batch relies on.
+    Leaf gradients add onto whatever is already stored, which is what
+    per-clip gradient accumulation over a mini-batch relies on. Interior
+    gradients start from nothing on every pass, so a second pass over the
+    same graph does not count the first one again; they stay readable after
+    the pass.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
+    for node in order:
+        if node._rule is not None:
+            node.grad = None
     loss.accumulate(np.ones_like(loss.data))
     for node in reversed(order):
         if node._rule is not None and node.grad is not None:
@@ -464,8 +492,10 @@ def global_avg_pool(x):
 # conv2d output planes at most this wide gather their patches with one
 # np.take and scatter patch gradients with frames x channels innermost;
 # wider planes copy one strided patch view and add one kernel-offset slice
-# at a time. Measured on numpy 2.4, the backward's crossover lies between
-# widths 12 and 14 and the forward's near 8; no preset has widths 9 to 15.
+# at a time, and so do the patch gradients of 1x1 kernels, whose single
+# offset leaves no adds to reorder. Measured on numpy 2.4, the backward's
+# crossover lies between widths 12 and 14 and the forward's near 8; no
+# preset has widths 9 to 15.
 NARROW_PLANE = 12
 _PATCH_INDEX = {}
 
@@ -512,9 +542,12 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         raise ShapeMismatch("conv2d", x.shape, w.shape, "kernel larger than padded input")
 
     hp, wp = h + 2 * p, wd + 2 * p
+    dtype = x.data.dtype
     if p:
-        # np.pad's Python-level set-up costs more than the copy itself
-        xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
+        # np.pad's Python-level set-up costs more than the copy itself;
+        # the backward rule must not refer to this copy, or it lives as long
+        # as the graph
+        xp = np.zeros((n, cin, hp, wp), dtype=dtype)
         xp[:, :, p:p + h, p:p + wd] = x.data
     else:
         xp = x.data
@@ -553,8 +586,8 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             # col2im: every padded pixel sums its patch terms from zero in
             # kernel-offset order, whichever axis the adds run innermost
             dcols = np.matmul(w_mat.T, g_mat)
-            if narrow:
-                dxt = np.zeros((hp, wp, n * cin), dtype=xp.dtype)
+            if narrow and kh * kw > 1:
+                dxt = np.zeros((hp, wp, n * cin), dtype=dtype)
                 dct = dcols.reshape(n * cin, kh, kw, ho, wo).transpose(1, 2, 3, 4, 0)
                 for i in range(kh):
                     for j in range(kw):
@@ -564,7 +597,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
                 x.accumulate(dx.reshape(n, cin, h, wd))
             else:
                 dcols = dcols.reshape(n, cin, kh, kw, ho, wo)
-                dxp = np.zeros(xp.shape, dtype=xp.dtype)
+                dxp = np.zeros((n, cin, hp, wp), dtype=dtype)
                 for i in range(kh):
                     for j in range(kw):
                         dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
@@ -795,8 +828,7 @@ def frame_norm(x, gain, bias, eps=1e-5):
 
 def _exact_weighted_sum_data(mat, weights):
     cols = (mat * weights[:, None]).astype(np.float64, copy=False)
-    return np.array([math.fsum(cols[:, c]) for c in range(mat.shape[1])],
-                    dtype=mat.dtype)
+    return np.array(list(map(math.fsum, cols.T.tolist())), dtype=mat.dtype)
 
 
 def exact_weighted_sum(mat, weights):

@@ -3,12 +3,17 @@ codes. Everything runs on a micro model so the whole file stays fast."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import akmnet
 from akmnet.cli import main
 from akmnet.data import save_packed
 
@@ -326,3 +331,16 @@ class TestGradcheckCommand:
 
     def test_unknown_fault_target(self):
         assert run("gradcheck", "--inject-fault", "made_up") == 2
+
+    def test_reader_closing_early_leaves_no_traceback(self):
+        # as with ``akmnet gradcheck | head``: the pipe closes before the
+        # first line is written
+        src = str(Path(akmnet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen([sys.executable, "-m", "akmnet", "gradcheck", "--seed", "1"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""

@@ -1,7 +1,10 @@
+import contextlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from akmnet import RngStream, build_model
+from akmnet import RngStream, build_model, evaluate, make_variant
 from akmnet.backbone import BackboneConfig
 from akmnet.model import ModelConfig
 from akmnet.weights import load_weights, save_weights
@@ -81,6 +84,57 @@ class TestAssembly:
         model = build_model(tiny_model_config(), seed=0)
         with pytest.raises(ValueError):
             model.forward(random_clip(RngStream(7), t=3), label=0, training=True)
+
+
+POLICIES = ("s123", "s12", "s13", "s23", "va-all", "va-norm4", "va-random3", "va-last10")
+
+
+class TestInferenceGraph:
+    """record_clip infers without a graph and keeps every bit of a forward
+    that builds one; a direct forward still builds it, training or not."""
+
+    @staticmethod
+    def clip(t=9):
+        return SimpleNamespace(frames=random_clip(RngStream(21), t=t), clip_id="c",
+                               subject_id="s", label=1, apex=3, framerate=200.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_records_match_graph_forward(self, dtype, monkeypatch):
+        clip = self.clip()
+        for name in POLICIES:
+            model = build_model(tiny_model_config(), policy=make_variant(name),
+                                seed=4, dtype=dtype)
+            # both sides draw a stochastic policy's frames from the same stream
+            without = evaluate.record_clip(model, clip, rng=RngStream(5).child("eval"))
+            with monkeypatch.context() as m:
+                m.setattr(evaluate, "no_grad", contextlib.nullcontext)
+                graph = evaluate.record_clip(model, clip, rng=RngStream(5).child("eval"))
+            # repr of a float round-trips its bits and tells -0.0 from 0.0
+            assert repr(without.to_dict()) == repr(graph.to_dict()), name
+
+    def test_record_forward_has_no_parents(self, monkeypatch):
+        model = build_model(tiny_model_config(), seed=4)
+        results = []
+        forward = model.forward
+
+        def spy(*args, **kwargs):
+            results.append(forward(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(model, "forward", spy)
+        evaluate.record_clip(model, self.clip())
+        result, = results
+        for out in (result.probs, result.selection.beta, result.losses.combined):
+            assert out.parents == () and out._rule is None and not out.requires_grad
+        assert model.forward(self.clip().frames).probs.parents
+
+    def test_eval_mode_forward_still_backpropagates(self):
+        model = build_model(tiny_model_config(), seed=4, dtype=np.float64)
+        out = model.forward(self.clip().frames, label=1, training=False)
+        out.omega.backward()
+        for name, p in model.parameters():
+            if name.startswith(("backbone.", "gru.", "head.")):
+                assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
 
 class TestWeightRoundTrip:

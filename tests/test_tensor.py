@@ -1,5 +1,7 @@
 """Forward values, backward rules and shape errors of the autodiff core."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,23 @@ class TestBackward:
             y.backward()
         assert x.grad == pytest.approx(8.0)
 
+    def test_gradients_twice_over_one_graph(self):
+        x = leaf(np.ones(2))
+        loss = T.sum_(T.mul(x, 3.0))
+        for _ in range(2):
+            np.testing.assert_array_equal(T.gradients(loss, [x])[0], [3.0, 3.0])
+
+    def test_backward_twice_over_one_graph_counts_each_pass_once(self):
+        x = leaf(np.ones(2))
+        scaled = T.mul(x, 3.0)
+        loss = T.sum_(scaled)
+        loss.backward()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+        # interior gradients hold the last pass's values, not the sum
+        np.testing.assert_array_equal(scaled.grad, [1.0, 1.0])
+        assert loss.grad == 1.0
+
     def test_gather_scatter_adds_duplicates(self):
         x = leaf(np.zeros((3, 2)))
         out = T.gather(x, [1, 1, 0])
@@ -224,6 +243,64 @@ def mean_frame_norm_forms(x, gain, bias, g, eps=1e-5):
 def backprop(out, upstream):
     T.sum_(T.mul(out, T.constant(upstream, dtype=out.dtype))).backward()
     return upstream
+
+
+class TestGradMode:
+    def test_no_grad_records_no_graph(self):
+        x = leaf(np.arange(3.0))
+        with T.no_grad():
+            y = T.sum_(T.mul(x, x))
+        assert y.parents == () and y._rule is None and not y.requires_grad
+        assert y.data == 5.0
+        y.backward()
+        assert x.grad is None
+
+    def test_mode_restored_after_nesting_and_exception(self):
+        x = leaf(2.0)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.mul(x, x).requires_grad
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        y = T.mul(x, x)
+        assert y.requires_grad and y.parents == (x, x)
+        y.backward()
+        assert x.grad == 4.0
+
+    def test_conv2d_rule_does_not_hold_padded_input(self):
+        rng = np.random.default_rng(42)
+        w = leaf(rng.normal(size=(4, 3, 3, 3)))
+        for width in (5, 20):
+            x = leaf(rng.normal(size=(2, 3, 5, width)))
+            out = T.conv2d(x, w, padding=1)
+            held = [c.cell_contents for c in out._rule.__closure__]
+            assert not [a for a in held
+                        if isinstance(a, np.ndarray) and a.shape == (2, 3, 7, width + 2)]
+
+
+class TestExactWeightedSum:
+    @staticmethod
+    def per_column_form(mat, weights):
+        cols = (mat * weights[:, None]).astype(np.float64, copy=False)
+        return np.array([math.fsum(cols[:, c]) for c in range(mat.shape[1])],
+                        dtype=mat.dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_column_fsum(self, dtype):
+        rng = np.random.default_rng(70)
+        mat = rng.normal(size=(9, 40)) * 2.0 ** rng.integers(-20, 21, size=(9, 40))
+        mat[:, :4] = -0.0
+        mat[:, 4] = 0.0
+        mat[3, 5] = -0.0
+        mat[2, 6] = np.inf
+        mat[::2, 7] = -np.inf
+        mat = mat.astype(dtype)
+        weights = np.full(9, 1.0 / 9).astype(dtype)
+        got = T._exact_weighted_sum_data(mat, weights)
+        want = self.per_column_form(mat, weights)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestConvLowering:
